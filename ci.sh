@@ -62,7 +62,8 @@ run "$CAPY_RUN" --validate-json BENCH_sim_throughput.json --schema capybara-sim-
 # manifest (template mix + recorded harvest trace) must reproduce its
 # golden artifact bit-for-bit, and the artifact must be identical
 # whether the batch runs on 1 worker or 8 — the mixed/trace fleet path
-# has no worker-count dependence. The checked-in perf artifact must also
+# has no worker-count dependence. `--workers` pins the fleet's own
+# sharding too, so the two runs really use different thread counts. The checked-in perf artifact must also
 # carry the trace-driven fleet series (the schema validator above
 # rejects it without).
 FLEET_TRACE_TMP=$(mktemp -d)
@@ -71,6 +72,11 @@ run "$CAPY_RUN" --workers 1 --out-dir "$FLEET_TRACE_TMP/w1" manifests/fleet_trac
 run "$CAPY_RUN" --workers 8 --out-dir "$FLEET_TRACE_TMP/w8" manifests/fleet_trace.capy
 run cmp manifests/fleet_trace.result.json "$FLEET_TRACE_TMP/w1/fleet_trace.result.json"
 run cmp "$FLEET_TRACE_TMP/w1/fleet_trace.result.json" "$FLEET_TRACE_TMP/w8/fleet_trace.result.json"
+
+# The benchmark crate is its own workspace, so --workspace never builds
+# it: test it by manifest path, or a library API change that breaks the
+# benchmark would pass every step above.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 if [[ "$QUICK" == "1" ]]; then
     echo "==> ci.sh: quick gate passed (benches skipped)"

@@ -13,7 +13,7 @@ use capy_apps::grc::{self, GrcVariant};
 use capy_apps::metrics::accuracy_fractions;
 use capy_bench::{figure_header, pct, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
-use capybara::sweep::{run_sweep_extract, SweepSpec};
+use capybara::sweep::{available_workers, run_sweep_extract_on, SweepSpec};
 use capybara::variant::Variant;
 
 /// The two systems compared: the paper's fixed bulk vs Capy-P.
@@ -36,8 +36,9 @@ fn main() {
         .axis("system", &SYSTEMS)
         .grid("harvesting", &[0.0, 1.0]);
     let events_ref = &events;
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_extract_on(
         &spec,
+        available_workers(),
         |point| {
             let v = point.expect_axis::<Variant>("system");
             let harvesting = point.expect_param("harvesting") > 0.5;

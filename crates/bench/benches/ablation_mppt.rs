@@ -10,7 +10,7 @@ use capy_bench::figure_header;
 use capy_power::capacitor;
 use capy_power::mppt::{harvested_power, PvCurve, Tracking};
 use capy_units::{Farads, SimDuration, SimTime, Volts};
-use capybara::sweep::{map_points, SweepSpec};
+use capybara::sweep::{available_workers, map_points_on, SweepSpec};
 
 /// One irradiance row: MPP / tracked / pinned power, plus the TA
 /// small-bank recharge times at the operating point (0.42 sun only).
@@ -32,10 +32,10 @@ fn main() {
     );
     let small_bank = Farads::from_micro(400.0);
     // Analytic per-irradiance evaluation, sharded over the grid like
-    // every other sweep (no simulator; [`map_points`] suffices).
+    // every other sweep (no simulator; [`map_points_on`] suffices).
     let spec = SweepSpec::new("ablation-mppt", SimTime::ZERO)
         .grid("irradiance", &[0.1, 0.25, 0.42, 0.7, 1.0]);
-    let rows = map_points(&spec, |point| {
+    let rows = map_points_on(&spec, available_workers(), |point| {
         let irr = point.expect_param("irradiance");
         // Two wings in series: double the voltage at the same current.
         let pv = PvCurve::new(PvCurve::trisolx(irr).i_sc, Volts::new(2.4), 10.0);

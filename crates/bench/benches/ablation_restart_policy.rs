@@ -139,7 +139,7 @@ fn main() {
     );
     let horizon = SimTime::from_secs(300);
     // These recovery models drive the power substrate directly (no
-    // `Simulator`), so the runs shard with [`run_sweep_tally`], which
+    // `Simulator`), so the runs shard with [`run_sweep_tally_on`], which
     // assembles the standard sweep record from what each run reports.
     let spec = SweepSpec::new("ablation-restart-policy", horizon)
         .base_seed(FIGURE_SEED)

@@ -16,7 +16,7 @@ use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_power::harvester::SolarPanel;
 use capy_power::prelude::{Bank, PowerSystem};
 use capy_units::{SimDuration, SimTime, Watts};
-use capybara::sweep::{run_sweep_extract, SweepSpec};
+use capybara::sweep::{run_sweep_extract_on, SweepSpec};
 
 struct Ctx {
     now: SimTime,
@@ -103,8 +103,9 @@ fn main() {
         .base_seed(FIGURE_SEED)
         .point("tight loop", &[("paced", 0.0)])
         .point("1 s sleep pacing", &[("paced", 1.0)]);
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_extract_on(
         &spec,
+        available_workers(),
         |point| build(point.expect_param("paced") > 0.5),
         |sim, _| gap_stats(&sim.ctx().samples),
     );

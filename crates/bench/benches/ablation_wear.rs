@@ -16,7 +16,7 @@ use capy_power::bank::BankId;
 use capy_power::lifetime::{projected_lifetime, typical_cycle_life, WearReport};
 use capy_power::technology::Technology;
 use capy_units::rng::DetRng;
-use capybara::sweep::{run_sweep_extract, SweepSpec};
+use capybara::sweep::{available_workers, run_sweep_extract_on, SweepSpec};
 use capybara::variant::Variant;
 
 /// The two systems compared: the paper's fixed bulk vs Capy-P.
@@ -36,8 +36,9 @@ fn main() {
         .base_seed(FIGURE_SEED)
         .axis("system", &SYSTEMS);
     let events_ref = &events;
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_extract_on(
         &spec,
+        available_workers(),
         |point| {
             let v = point.expect_axis::<Variant>("system");
             ta::build(v, events_ref.clone(), FIGURE_SEED)

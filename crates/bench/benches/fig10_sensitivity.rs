@@ -11,7 +11,7 @@
 //! Left panel: TA, means 100–400 s. Right panel: GRC-Fast, means 10–30 s.
 //!
 //! Each (mean, variant) cell is one point of a [`SweepSpec`] grid run in
-//! parallel by `run_sweep_with`; event schedules are regenerated inside
+//! parallel by `run_sweep_with_on`; event schedules are regenerated inside
 //! each point from the same legacy seeds the serial loop used, so the
 //! printed numbers are unchanged and identical for any worker count.
 
@@ -22,7 +22,7 @@ use capy_apps::ta;
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
-use capybara::sweep::{run_sweep_with, SweepSpec};
+use capybara::sweep::{available_workers, run_sweep_with_on, SweepSpec};
 use capybara::variant::Variant;
 
 const TA_MEANS: [u64; 6] = [100, 150, 200, 250, 300, 400];
@@ -49,7 +49,7 @@ fn main() {
         "mean(s)", "Pwr", "Fixed", "CB-R", "CB-P"
     );
     let ta_spec = grid("fig10-ta", &TA_MEANS, &Variant::ALL);
-    let (ta_report, ta_correct) = run_sweep_with(&ta_spec, |point| {
+    let (ta_report, ta_correct) = run_sweep_with_on(&ta_spec, available_workers(), |point| {
         let mean_s = point.expect_param("mean_s") as u64;
         let v = point.expect_axis::<Variant>("variant");
         let events = poisson_events(
@@ -80,7 +80,7 @@ fn main() {
         "mean(s)", "Pwr", "Fixed", "CB-P"
     );
     let grc_spec = grid("fig10-grc", &GRC_MEANS, &GRC_VARIANTS);
-    let (grc_report, grc_reported) = run_sweep_with(&grc_spec, |point| {
+    let (grc_report, grc_reported) = run_sweep_with_on(&grc_spec, available_workers(), |point| {
         let mean_s = point.expect_param("mean_s") as u64;
         let v = point.expect_axis::<Variant>("variant");
         let events = poisson_events(

@@ -10,7 +10,7 @@
 //! (necessarily) missed, and those without any events."
 //!
 //! The three variants are the three points of a [`SweepSpec`] run in
-//! parallel by `run_sweep_with`.
+//! parallel by `run_sweep_with_on`.
 
 use capy_apps::events::poisson_events;
 use capy_apps::metrics::{intersample_histogram, intersample_summary};
@@ -18,7 +18,7 @@ use capy_apps::ta;
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
 use capy_units::SimDuration;
-use capybara::sweep::{run_sweep_with, SweepSpec};
+use capybara::sweep::{available_workers, run_sweep_with_on, SweepSpec};
 use capybara::variant::Variant;
 
 const VARIANTS: [Variant; 3] = [Variant::Fixed, Variant::CapyR, Variant::CapyP];
@@ -53,7 +53,7 @@ fn main() {
         .base_seed(FIGURE_SEED)
         .axis("variant", &VARIANTS);
     let events_ref = &events;
-    let (mut report, details) = run_sweep_with(&spec, |point| {
+    let (mut report, details) = run_sweep_with_on(&spec, available_workers(), |point| {
         let v = point.expect_axis::<Variant>("variant");
         let mut sim = ta::build(v, events_ref.clone(), FIGURE_SEED);
         sim.run_until(horizon);

@@ -12,7 +12,7 @@
 //! This bench runs that exact application on a low- and a high-capacity
 //! fixed buffer and prints the rail-voltage trace with charge/sample/
 //! packet annotations. The two panels are the two points of a
-//! [`SweepSpec`] run in parallel by `run_sweep_with`; the charge counts
+//! [`SweepSpec`] run in parallel by `run_sweep_with_on`; the charge counts
 //! and mean charge time come straight from each run's [`RunSummary`].
 
 use capy_apps::prelude::*;
@@ -21,7 +21,7 @@ use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_device::peripherals::{BleRadio, Tmp36};
 use capy_power::prelude::{Bank, ConstantHarvester, PowerSystem, SwitchKind};
 use capy_units::{SimDuration, SimTime, Volts, Watts};
-use capybara::sweep::{run_sweep_with, SweepSpec};
+use capybara::sweep::{run_sweep_with_on, SweepSpec};
 
 struct Fig2Ctx {
     now: SimTime,
@@ -158,7 +158,9 @@ fn main() {
         "fixed-capacity execution: 15-sample series + radio packet",
     );
     let spec = SweepSpec::new("fig2", HORIZON).axis("panel", &Fig2Panel::ALL);
-    let (report, details) = run_sweep_with(&spec, |point| run_panel(point.expect_axis("panel")));
+    let (report, details) = run_sweep_with_on(&spec, available_workers(), |point| {
+        run_panel(point.expect_axis("panel"))
+    });
 
     for (run, detail) in report.runs.iter().zip(&details) {
         let s = &run.summary;

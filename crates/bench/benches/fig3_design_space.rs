@@ -10,8 +10,8 @@
 //! necessary).
 //!
 //! The capacitance axis is a [`SweepSpec`] grid evaluated in parallel by
-//! the sweep engine's `map_points` (the per-point computation is analytic
-//! — no simulator — so the summary-producing `run_sweep` form does not
+//! the sweep engine's `map_points_on` (the per-point computation is analytic
+//! — no simulator — so the summary-producing `run_sweep_on` form does not
 //! apply); results are collected in point order, so output is identical
 //! for any worker count.
 
@@ -20,7 +20,7 @@ use capy_device::mcu::Mcu;
 use capy_power::booster::OutputBooster;
 use capy_power::capacitor;
 use capy_units::{Farads, Ohms, SimTime, Volts, Watts};
-use capybara::sweep::{map_points, SweepSpec};
+use capybara::sweep::{available_workers, map_points_on, SweepSpec};
 
 fn main() {
     figure_header(
@@ -39,7 +39,7 @@ fn main() {
         .map(|i| 100.0 * 10f64.powf(f64::from(i) / 12.0))
         .collect();
     let spec = SweepSpec::new("fig3", SimTime::ZERO).grid("c_uf", &caps);
-    let rows: Vec<(f64, f64, f64)> = map_points(&spec, |point| {
+    let rows: Vec<(f64, f64, f64)> = map_points_on(&spec, available_workers(), |point| {
         let c_uf = point.expect_param("c_uf");
         let c = Farads::from_micro(c_uf);
         let (on_time, _) = capacitor::sustain_time(c, Ohms::ZERO, v_full, p, v_min);

@@ -8,7 +8,7 @@
 //! packet reception."
 //!
 //! Each application's four variants run as one parallel [`SweepSpec`]
-//! (`run_sweep_extract`: the engine advances every run to the spec's
+//! (`run_sweep_extract_on`: the engine advances every run to the spec's
 //! horizon, then the extract reads the finished simulator); the TA rows
 //! compare against a continuously-powered reference run computed up
 //! front and shared by every worker.
@@ -21,7 +21,7 @@ use capy_apps::{csr, ta};
 use capy_bench::{figure_header, sweep_footer, FIGURE_SEED};
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
-use capybara::sweep::{run_sweep_extract, SweepSpec};
+use capybara::sweep::{available_workers, run_sweep_extract_on, SweepSpec};
 use capybara::variant::Variant;
 
 fn print_row(system: &str, stats: Option<LatencyStats>) {
@@ -78,8 +78,9 @@ fn main() {
     println!("TempAlarm (latency vs continuously-powered reference):");
     let events = &ta_events;
     let ref_packets = &reference.packets;
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_extract_on(
         &variant_spec("fig9-ta", ta::HORIZON),
+        available_workers(),
         |point| {
             let v = point.expect_axis::<Variant>("variant");
             ta::build(v, events.clone(), FIGURE_SEED)
@@ -100,8 +101,9 @@ fn main() {
             GrcVariant::Fast => "fig9-grc-fast",
             GrcVariant::Compact => "fig9-grc-compact",
         };
-        let (report, rows) = run_sweep_extract(
+        let (report, rows) = run_sweep_extract_on(
             &variant_spec(name, grc::HORIZON),
+            available_workers(),
             |point| {
                 let v = point.expect_axis::<Variant>("variant");
                 grc::build(v, gv, events.clone(), FIGURE_SEED)
@@ -113,8 +115,9 @@ fn main() {
     }
 
     println!("CorrSense (latency vs pendulum actuation):");
-    let (report, rows) = run_sweep_extract(
+    let (report, rows) = run_sweep_extract_on(
         &variant_spec("fig9-csr", grc::HORIZON),
+        available_workers(),
         |point| {
             let v = point.expect_axis::<Variant>("variant");
             csr::build(v, events.clone(), FIGURE_SEED)

@@ -52,7 +52,7 @@ pub struct FuzzOptions {
     /// fuzzer).
     pub cases: usize,
     /// Mission horizon every case runs to (per-scenario horizons
-    /// override this in [`fuzz_policy_grid_on`]).
+    /// override this in [`fuzz_policy_grid`]).
     pub horizon: SimTime,
     /// Upper bound on power kills per case (each case draws 1..=this).
     pub max_kills: usize,
@@ -65,7 +65,7 @@ pub struct FuzzOptions {
     /// Livelock threshold, as in
     /// [`KillGridOptions::zeno_boot_limit`](super::KillGridOptions).
     pub zeno_boot_limit: u64,
-    /// Worker threads; `0` uses one per core.
+    /// Worker threads (default: one per core).
     pub workers: usize,
 }
 
@@ -78,7 +78,7 @@ impl Default for FuzzOptions {
             fault_probability: 0.5,
             surge_probability: 0.25,
             zeno_boot_limit: 64,
-            workers: 0,
+            workers: available_workers(),
         }
     }
 }
@@ -325,12 +325,7 @@ where
         SweepSpec::new("fault-fuzz", options.horizon).base_seed(master_seed),
         |spec, i| spec.point(format!("case#{i}"), &[("case", i as f64)]),
     );
-    let workers = if options.workers == 0 {
-        available_workers()
-    } else {
-        options.workers
-    };
-    let outcomes = map_points_on(&spec, workers, |point| {
+    let outcomes = map_points_on(&spec, options.workers, |point| {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let index = point.expect_param("case") as usize;
         let case = derive_case(master_seed, index, options, bank_count);
@@ -363,7 +358,7 @@ where
     run_case(&build, &invariant, &case, options)
 }
 
-/// The result of one [`fuzz_policy_grid_on`] campaign: fuzz outcomes
+/// The result of one [`fuzz_policy_grid`] campaign: fuzz outcomes
 /// for every {policy × scenario} cell, cell-major
 /// (`(policy * scenarios + scenario) * cases + case`).
 #[derive(Debug, Clone)]
@@ -442,7 +437,7 @@ impl FuzzGrid {
 
 /// Fuzzes every {policy × scenario} cell with
 /// [`FuzzOptions::cases`] derived cases each, sharded on the sweep
-/// engine with an explicit worker count (`0` = one per core). Each
+/// engine across [`FuzzOptions::workers`] threads. Each
 /// cell's case sequence derives from
 /// `derive_seed(master_seed, policy * scenarios + scenario)`, so cells
 /// are independent and the whole grid reproduces from `master_seed`
@@ -453,14 +448,12 @@ impl FuzzGrid {
 /// [`run_policy_sweep_on`](crate::policy::run_policy_sweep_on);
 /// per-scenario horizons ([`Scenario::at_horizon`]) override
 /// [`FuzzOptions::horizon`].
-#[allow(clippy::too_many_arguments)]
-pub fn fuzz_policy_grid_on<H, C, F, V>(
+pub fn fuzz_policy_grid<H, C, F, V>(
     name: &'static str,
     master_seed: u64,
     options: &FuzzOptions,
     policies: &[NamedPolicy],
     scenarios: &[Scenario],
-    workers: usize,
     build: F,
     invariant: V,
 ) -> FuzzGrid
@@ -492,12 +485,7 @@ where
             }
         }
     }
-    let workers = if workers == 0 {
-        available_workers()
-    } else {
-        workers
-    };
-    let outcomes = map_points_on(&spec, workers, |point| {
+    let outcomes = map_points_on(&spec, options.workers, |point| {
         let policy = point.expect_axis::<NamedPolicy>("policy");
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let (pi, si, ci) = (
@@ -727,13 +715,15 @@ mod tests {
             ..smoke_options()
         };
         let run = |workers| {
-            fuzz_policy_grid_on(
+            fuzz_policy_grid(
                 "fuzz-grid-test",
                 MASTER,
-                &options,
+                &FuzzOptions {
+                    workers,
+                    ..options.clone()
+                },
                 &policies,
                 &scenarios,
-                workers,
                 |_, policy| {
                     sampler(
                         two_bank_power(ConstantHarvester::new(

@@ -278,7 +278,7 @@ pub struct KillGridOptions {
     /// times after the kill without completing a single task is flagged
     /// as a Zeno violation.
     pub zeno_boot_limit: u64,
-    /// Worker threads for the kill pass; `0` uses one per core.
+    /// Worker threads for the kill pass (default: one per core).
     pub workers: usize,
     /// Checkpoint every `snapshot_stride`-th task boundary during the
     /// record pass (`1` = every boundary). Larger strides bound snapshot
@@ -295,7 +295,7 @@ impl Default for KillGridOptions {
             max_points: None,
             epsilon: SimDuration::from_millis(1),
             zeno_boot_limit: 64,
-            workers: 0,
+            workers: available_workers(),
             snapshot_stride: 1,
         }
     }
@@ -617,12 +617,7 @@ where
         .fold(SweepSpec::new("kill-grid", horizon), |spec, &t| {
             spec.point(format!("kill@{t}"), &[("kill_us", t.as_micros() as f64)])
         });
-    let workers = if options.workers == 0 {
-        available_workers()
-    } else {
-        options.workers
-    };
-    let results = map_points_on(&spec, workers, |point| {
+    let results = map_points_on(&spec, options.workers, |point| {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let kill_at = SimTime::from_micros(point.expect_param("kill_us") as u64);
         // The resume point is the last snapshot strictly before the

@@ -65,7 +65,7 @@ use capy_units::sketch::QuantileSketch;
 use capy_units::{SimDuration, SimTime, Volts, Watts};
 
 use crate::sim::{SimContext, SimEvent, Simulator};
-use crate::sweep::{available_workers, map_points_on, RunSummary, SweepSpec, DEFAULT_BASE_SEED};
+use crate::sweep::{map_points_on, RunSummary, SweepSpec, DEFAULT_BASE_SEED};
 
 /// Number of shards a fleet is striped over — fixed (not derived from
 /// the worker count) so the shard partition, and therefore the report,
@@ -1172,7 +1172,8 @@ pub struct FleetReport {
     pub horizon: SimTime,
     /// The merged aggregate.
     pub acc: FleetAccumulator,
-    /// Worker threads used (excluded from equality).
+    /// Worker threads used: the requested count clamped to
+    /// `1..=shards` (excluded from equality).
     pub workers: usize,
     /// Host wall-clock time (excluded from equality).
     pub wall: Duration,
@@ -1222,6 +1223,20 @@ impl FleetReport {
     }
 }
 
+/// The fleet's fixed shard grid, one sweep point per shard (see the
+/// module docs): returns the shard count and the spec whose points
+/// [`map_points_on`] claims as whole shards.
+fn shard_sweep(spec: &FleetSpec) -> (u64, SweepSpec) {
+    let shards = FLEET_SHARDS.min(spec.devices()).max(1);
+    let mut sweep = SweepSpec::new(spec.name, spec.horizon).base_seed(spec.fleet_seed);
+    for s in 0..shards {
+        #[allow(clippy::cast_precision_loss)]
+        let shard_param = s as f64;
+        sweep = sweep.point(format!("shard={s}"), &[("shard", shard_param)]);
+    }
+    (shards, sweep)
+}
+
 /// Runs the fleet on `workers` threads: devices are striped over
 /// [`FLEET_SHARDS`] fixed shards, each shard folds its devices into a
 /// [`FleetAccumulator`] as they finish, and the shard accumulators
@@ -1237,13 +1252,7 @@ where
 {
     let started = Instant::now();
     let devices = spec.devices();
-    let shards = FLEET_SHARDS.min(devices).max(1);
-    let mut sweep = SweepSpec::new(spec.name, spec.horizon).base_seed(spec.fleet_seed);
-    for s in 0..shards {
-        #[allow(clippy::cast_precision_loss)]
-        let shard_param = s as f64;
-        sweep = sweep.point(format!("shard={s}"), &[("shard", shard_param)]);
-    }
+    let (shards, sweep) = shard_sweep(spec);
     let accs = map_points_on(&sweep, workers, |point| {
         let shard = point.index as u64;
         let mut acc = FleetAccumulator::new();
@@ -1265,17 +1274,9 @@ where
         devices,
         horizon: spec.horizon,
         acc: merged,
-        workers: workers.max(1),
+        workers: workers.clamp(1, sweep.points().len()),
         wall: started.elapsed(),
     }
-}
-
-/// [`run_fleet_on`] with [`available_workers`].
-pub fn run_fleet<F>(spec: &FleetSpec, device_fn: F) -> FleetReport
-where
-    F: Fn(&DevicePoint) -> DeviceOutcome + Sync,
-{
-    run_fleet_on(spec, available_workers(), device_fn)
 }
 
 /// One leg of a multi-leg mission: like [`run_fleet_on`], but the
@@ -1310,13 +1311,7 @@ where
     }
     let started = Instant::now();
     let devices = spec.devices();
-    let shards = FLEET_SHARDS.min(devices).max(1);
-    let mut sweep = SweepSpec::new(spec.name, spec.horizon).base_seed(spec.fleet_seed);
-    for s in 0..shards {
-        #[allow(clippy::cast_precision_loss)]
-        let shard_param = s as f64;
-        sweep = sweep.point(format!("shard={s}"), &[("shard", shard_param)]);
-    }
+    let (shards, sweep) = shard_sweep(spec);
     let fresh = DeviceWear::none();
     let shard_results = map_points_on(&sweep, workers, |point| {
         let shard = point.index as u64;
@@ -1346,22 +1341,10 @@ where
         devices,
         horizon: spec.horizon,
         acc: merged,
-        workers: workers.max(1),
+        workers: workers.clamp(1, sweep.points().len()),
         wall: started.elapsed(),
     };
     (report, wear_out)
-}
-
-/// [`run_fleet_leg_on`] with [`available_workers`].
-pub fn run_fleet_leg<F>(
-    spec: &FleetSpec,
-    carry: Option<&FleetWear>,
-    device_fn: F,
-) -> (FleetReport, FleetWear)
-where
-    F: Fn(&DevicePoint, &DeviceWear) -> DeviceOutcome + Sync,
-{
-    run_fleet_leg_on(spec, available_workers(), carry, device_fn)
 }
 
 #[cfg(test)]

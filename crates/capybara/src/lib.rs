@@ -99,25 +99,23 @@ pub mod prelude {
     pub use crate::allocate::{allocate, AllocationOptions, AllocationPlan, TaskDemand};
     pub use crate::annotation::TaskEnergy;
     pub use crate::faults::fuzz::{
-        derive_case, fuzz_faults, fuzz_policy_grid_on, replay_case, FuzzCase, FuzzGrid,
-        FuzzOptions, FuzzOutcome, FuzzReport,
+        derive_case, fuzz_faults, fuzz_policy_grid, replay_case, FuzzCase, FuzzGrid, FuzzOptions,
+        FuzzOutcome, FuzzReport,
     };
     pub use crate::faults::{
         explore_kill_grid, explore_kill_grid_replay, ExplorationStats, FaultPlan, KillGridOptions,
         KillOutcome, KillReport, SurgeEffect,
     };
     pub use crate::fleet::{
-        parse_harvest_trace, run_fleet, run_fleet_leg, run_fleet_leg_on, run_fleet_on,
-        DeviceOutcome, DevicePoint, DeviceWear, EnvError, FleetAccumulator, FleetHarvester,
-        FleetReport, FleetSpec, FleetWear, SharedEnvironment, TemplateSpec, FLEET_SHARDS,
-        SURVIVAL_BUCKETS,
+        parse_harvest_trace, run_fleet_leg_on, run_fleet_on, DeviceOutcome, DevicePoint,
+        DeviceWear, EnvError, FleetAccumulator, FleetHarvester, FleetReport, FleetSpec, FleetWear,
+        SharedEnvironment, TemplateSpec, FLEET_SHARDS, SURVIVAL_BUCKETS,
     };
     pub use crate::mode::{EnergyMode, ModeTable};
     pub use crate::policy::{
-        oracle_offline, run_fleet_policy_sweep, run_fleet_policy_sweep_on, run_policy_sweep,
-        EwmaAdaptive, FleetPolicyComparison, FleetScenario, NamedPolicy, Oracle, Pinned,
-        PolicyComparison, PolicyObservation, ReactiveDownsize, ReconfigPolicy, Scenario,
-        StaticAnnotation,
+        oracle_offline, run_fleet_policy_sweep_on, run_policy_sweep_on, EwmaAdaptive,
+        FleetPolicyComparison, FleetScenario, NamedPolicy, Oracle, Pinned, PolicyComparison,
+        PolicyObservation, ReactiveDownsize, ReconfigPolicy, Scenario, StaticAnnotation,
     };
     pub use crate::provision::{provision_bank_units, ProvisioningReport};
     pub use crate::sim::{
@@ -125,8 +123,9 @@ pub mod prelude {
         SimulatorBuilder, StepResult,
     };
     pub use crate::sweep::{
-        run_sweep, run_sweep_tally, run_sweep_with, AxisError, AxisTable, AxisValue, RunSummary,
-        SweepPoint, SweepReport, SweepRun, SweepSpec, WorkerStats,
+        available_workers, run_sweep_on, run_sweep_tally_on, run_sweep_with_on, AxisError,
+        AxisTable, AxisValue, RunSummary, SweepPoint, SweepReport, SweepRun, SweepSpec,
+        WorkerStats,
     };
     pub use crate::variant::Variant;
 

@@ -36,7 +36,7 @@
 //!   replay reproduces the winning run exactly, so the oracle bounds
 //!   every candidate from above *by construction* on that trace.
 //!
-//! The policy-comparison harness ([`run_policy_sweep`]) runs a
+//! The policy-comparison harness ([`run_policy_sweep_on`]) runs a
 //! {policy × scenario} grid on the parallel sweep engine and exposes
 //! per-policy [`RunSummary`] deltas (event completions, charge time,
 //! reactivity) against any baseline.
@@ -56,8 +56,7 @@ use crate::mode::EnergyMode;
 use crate::runtime::RuntimeState;
 use crate::sim::{SimContext, SimEvent, Simulator};
 use crate::sweep::{
-    available_workers, map_points_on, run_sweep_on, AxisValue, RunSummary, SweepPoint, SweepReport,
-    SweepSpec,
+    map_points_on, run_sweep_on, AxisValue, RunSummary, SweepPoint, SweepReport, SweepSpec,
 };
 
 /// What a policy sees at a task boundary, immediately before the runtime
@@ -771,8 +770,7 @@ impl PolicyComparison {
 }
 
 /// Runs the {policy × scenario} grid on the parallel sweep engine with
-/// an explicit worker count (used by the determinism tests; prefer
-/// [`run_policy_sweep`]). `build` receives the sweep point (scenario
+/// `workers` threads. `build` receives the sweep point (scenario
 /// axes, per-point seed) and a fresh policy instance and returns the
 /// simulator; the engine runs it to the scenario's horizon when set
 /// ([`Scenario::at_horizon`]), else to `horizon`.
@@ -977,44 +975,6 @@ where
         policies: policies.iter().map(|p| p.label).collect(),
         scenarios: scenarios.iter().map(|s| s.label.clone()).collect(),
     }
-}
-
-/// [`run_fleet_policy_sweep_on`] with one worker per available core.
-pub fn run_fleet_policy_sweep<F>(
-    base: &FleetSpec,
-    policies: &[NamedPolicy],
-    scenarios: &[FleetScenario],
-    device_fn: F,
-) -> FleetPolicyComparison
-where
-    F: Fn(&DevicePoint, &FleetSpec, Box<dyn ReconfigPolicy>) -> DeviceOutcome + Sync,
-{
-    run_fleet_policy_sweep_on(base, policies, scenarios, available_workers(), device_fn)
-}
-
-/// [`run_policy_sweep_on`] with one worker per available core.
-pub fn run_policy_sweep<H, C, F>(
-    name: &'static str,
-    horizon: SimTime,
-    base_seed: u64,
-    policies: &[NamedPolicy],
-    scenarios: &[Scenario],
-    build: F,
-) -> PolicyComparison
-where
-    H: Harvester,
-    C: SimContext,
-    F: Fn(&SweepPoint, Box<dyn ReconfigPolicy>) -> Simulator<H, C> + Sync,
-{
-    run_policy_sweep_on(
-        name,
-        horizon,
-        base_seed,
-        policies,
-        scenarios,
-        available_workers(),
-        build,
-    )
 }
 
 #[cfg(test)]

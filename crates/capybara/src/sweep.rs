@@ -8,9 +8,11 @@
 //! * [`SweepSpec`] names a grid of labeled parameter points, each owning
 //!   a deterministic seed derived from the spec's base seed and the
 //!   point's index;
-//! * [`run_sweep`] shards the points across `available_parallelism()`
-//!   OS threads with [`std::thread::scope`] (no dependencies, no
+//! * [`run_sweep_on`] shards the points across a caller-chosen number
+//!   of OS threads with [`std::thread::scope`] (no dependencies, no
 //!   runtime) and runs one simulator per point to the spec's horizon;
+//!   the engine never picks the count itself — binaries, benches and
+//!   tests pass [`available_workers`] or a fixed number;
 //! * [`RunSummary`] condenses each run's [`SimEvent`] log and execution
 //!   statistics into the repo's standard observability record;
 //! * **typed axes** ([`AxisValue`], [`SweepSpec::axis`]) let structured
@@ -923,7 +925,8 @@ impl SweepReport {
     }
 }
 
-/// The sweep engine's default worker count: one per available core.
+/// One worker per available core: the count binaries and benches pass
+/// when they want the whole host.
 #[must_use]
 pub fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -933,7 +936,7 @@ pub fn available_workers() -> usize {
 /// and returns the results **in point order**. The closure sees only the
 /// point (parameters + seed), so the output is identical for any worker
 /// count; work is claimed dynamically, so uneven run times still load-
-/// balance.
+/// balance. `workers` is clamped to `1..=points`.
 pub fn map_points_on<R, F>(spec: &SweepSpec, workers: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -1011,15 +1014,6 @@ where
     (results, stats)
 }
 
-/// [`map_points_on`] with [`available_workers`].
-pub fn map_points<R, F>(spec: &SweepSpec, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&SweepPoint) -> R + Sync,
-{
-    map_points_on(spec, available_workers(), f)
-}
-
 /// Runs one simulator per point in parallel, each to the point's horizon
 /// (the spec's unless overridden via [`SweepPoint::horizon`]), and also
 /// returns the caller's per-point extract (trace excerpts, application
@@ -1030,19 +1024,7 @@ where
 /// the simulator up to the point's horizon. `run_until` is monotone, so
 /// a closure that already advanced the simulator past the horizon leaves
 /// the run untouched. When the extract must observe the *finished*
-/// simulator, use [`run_sweep_extract`] instead.
-pub fn run_sweep_with<H, C, R, F>(spec: &SweepSpec, run: F) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    F: Fn(&SweepPoint) -> (Simulator<H, C>, R) + Sync,
-{
-    run_sweep_with_on(spec, available_workers(), run)
-}
-
-/// [`run_sweep_with`] pinned to an explicit worker count (used by the
-/// determinism tests; prefer [`run_sweep_with`]).
+/// simulator, use [`run_sweep_extract_on`] instead.
 pub fn run_sweep_with_on<H, C, R, F>(
     spec: &SweepSpec,
     workers: usize,
@@ -1065,22 +1047,6 @@ where
 /// horizon, then applies `extract` to the **finished** simulator —
 /// the right shape for figure benches that read end-of-run state
 /// (application context, trace tails, power telemetry).
-pub fn run_sweep_extract<H, C, R, B, X>(
-    spec: &SweepSpec,
-    build: B,
-    extract: X,
-) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    B: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
-    X: Fn(&Simulator<H, C>, &SweepPoint) -> R + Sync,
-{
-    run_sweep_extract_on(spec, available_workers(), build, extract)
-}
-
-/// [`run_sweep_extract`] pinned to an explicit worker count.
 pub fn run_sweep_extract_on<H, C, R, B, X>(
     spec: &SweepSpec,
     workers: usize,
@@ -1127,16 +1093,6 @@ where
 /// extract; the engine stamps the summary's wall time and assembles the
 /// standard [`SweepReport`], so these targets share footers, worker
 /// telemetry, and 1-vs-N bit-identity with the simulator sweeps.
-pub fn run_sweep_tally<R, F>(spec: &SweepSpec, run: F) -> (SweepReport, Vec<R>)
-where
-    R: Send,
-    F: Fn(&SweepPoint) -> (RunSummary, R) + Sync,
-{
-    run_sweep_tally_on(spec, available_workers(), run)
-}
-
-/// [`run_sweep_tally`] pinned to an explicit worker count (used by the
-/// determinism tests; prefer [`run_sweep_tally`]).
 pub fn run_sweep_tally_on<R, F>(spec: &SweepSpec, workers: usize, run: F) -> (SweepReport, Vec<R>)
 where
     R: Send,
@@ -1173,16 +1129,6 @@ where
 /// Runs a grid of simulations in parallel: builds one simulator per
 /// point with `build`, runs each to the spec's horizon, and aggregates
 /// the per-run [`RunSummary`]s in point order.
-pub fn run_sweep<H, C, F>(spec: &SweepSpec, build: F) -> SweepReport
-where
-    H: Harvester,
-    C: SimContext,
-    F: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
-{
-    run_sweep_on(spec, available_workers(), build)
-}
-
-/// [`run_sweep`] pinned to an explicit worker count.
 pub fn run_sweep_on<H, C, F>(spec: &SweepSpec, workers: usize, build: F) -> SweepReport
 where
     H: Harvester,
@@ -1315,7 +1261,9 @@ mod tests {
     #[test]
     fn summaries_reflect_simulation_activity() {
         let spec = SweepSpec::new("one", SimTime::from_secs(30)).grid("harvest_uw", &[2_000.0]);
-        let report = run_sweep(&spec, |p| sampler(p.expect_param("harvest_uw"), 20));
+        let report = run_sweep_on(&spec, available_workers(), |p| {
+            sampler(p.expect_param("harvest_uw"), 20)
+        });
         let s = &report.runs[0].summary;
         assert!(s.completions > 0);
         assert_eq!(s.attempts, s.completions + s.failures);
@@ -1399,7 +1347,7 @@ mod tests {
     #[test]
     fn empty_spec_yields_empty_report() {
         let spec = SweepSpec::new("empty", SimTime::from_secs(1));
-        let report = run_sweep(&spec, build);
+        let report = run_sweep_on(&spec, available_workers(), build);
         assert!(report.runs.is_empty());
         assert_eq!(report.total_completions(), 0);
     }
@@ -1409,7 +1357,7 @@ mod tests {
         let spec = SweepSpec::new("lookup", SimTime::from_secs(5))
             .point("weak", &[("harvest_uw", 500.0), ("task_ms", 10.0)])
             .point("strong", &[("harvest_uw", 10_000.0), ("task_ms", 10.0)]);
-        let report = run_sweep(&spec, build);
+        let report = run_sweep_on(&spec, available_workers(), build);
         assert!(report.get("weak").is_some());
         assert!(report.get("missing").is_none());
         let weak = &report.get("weak").unwrap().summary;
@@ -1498,7 +1446,7 @@ mod tests {
             spec.points()[1].horizon_or(spec.horizon()),
             SimTime::from_secs(20)
         );
-        let report = run_sweep(&spec, build);
+        let report = run_sweep_on(&spec, available_workers(), build);
         let default = &report.get("default").unwrap().summary;
         let long = &report.get("long").unwrap().summary;
         assert!(default.end >= SimTime::from_secs(5) && default.end < SimTime::from_secs(20));
@@ -1510,8 +1458,9 @@ mod tests {
     fn extract_observes_the_finished_simulator() {
         let spec = SweepSpec::new("extract", SimTime::from_secs(10))
             .grid("harvest_uw", &[2_000.0, 10_000.0]);
-        let (report, counts) = run_sweep_extract(
+        let (report, counts) = run_sweep_extract_on(
             &spec,
+            available_workers(),
             |p| sampler(p.expect_param("harvest_uw"), 10),
             |sim, _point| sim.ctx().n.get(),
         );

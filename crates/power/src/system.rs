@@ -226,8 +226,9 @@ pub struct PowerSystem<H> {
     bypass: Option<Bypass>,
     output_booster: OutputBooster,
     banks: Vec<Slot>,
-    /// Cached closed set used to detect implicit reconfiguration (latch
-    /// decay) between operations.
+    /// The closed set as of the last `sync`. Its only job is to
+    /// invalidate `rail_derived` when a switch command or latch decay
+    /// changes the set; nothing else reads it.
     closed_cache: Vec<bool>,
     /// Cumulative energy delivered to loads, for efficiency accounting.
     delivered: Joules,

@@ -12,7 +12,7 @@ use capybara_suite::device::peripherals::BleRadio;
 use capybara_suite::power::booster::OutputBooster;
 use capybara_suite::power::capacitor;
 use capybara_suite::prelude::*;
-use capybara_suite::sweep::{map_points, run_sweep, SweepSpec};
+use capybara_suite::sweep::{map_points_on, run_sweep_on, SweepSpec};
 
 struct SamplerCtx {
     n: NvVar<u64>,
@@ -47,7 +47,7 @@ fn main() {
         "c_uf",
         &[100.0, 330.0, 1_000.0, 3_300.0, 10_000.0, 33_000.0],
     );
-    let rows = map_points(&analytic, |point| {
+    let rows = map_points_on(&analytic, available_workers(), |point| {
         let c_uf = point.expect_param("c_uf");
         let c = Farads::from_micro(c_uf);
         let (on_time, _) = capacitor::sustain_time(c, Ohms::ZERO, v_full, p_active, v_min);
@@ -87,7 +87,7 @@ fn main() {
     // table above.
     let measured = SweepSpec::new("design-space-measured", SimTime::from_secs(60))
         .grid("units", &[1.0, 2.0, 4.0, 8.0, 16.0]);
-    let report = run_sweep(&measured, |point| {
+    let report = run_sweep_on(&measured, available_workers(), |point| {
         let units = point.expect_param("units") as usize;
         let power = PowerSystem::builder()
             .harvester(ConstantHarvester::new(

@@ -112,7 +112,9 @@ fn main() {
         relays.max(1)
     );
     let t0 = Instant::now();
-    let report = run_fleet(&spec, |point| simulate_device(&spec, point, horizon));
+    let report = run_fleet_on(&spec, available_workers(), |point| {
+        simulate_device(&spec, point, horizon)
+    });
     let wall = t0.elapsed();
 
     let acc = &report.acc;
@@ -180,6 +182,6 @@ fn main() {
             report, serial,
             "parallel and serial fleet reports must be identical"
         );
-        println!("identical on {} vs 1 worker(s): OK", available_workers());
+        println!("identical on {} vs 1 worker(s): OK", report.workers);
     }
 }

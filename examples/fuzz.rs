@@ -15,7 +15,7 @@
 
 use capy_units::{SimDuration, SimTime};
 use capybara_suite::apps::ta;
-use capybara_suite::faults::fuzz::{fuzz_faults, fuzz_policy_grid_on, FuzzOptions};
+use capybara_suite::faults::fuzz::{fuzz_faults, fuzz_policy_grid, FuzzOptions};
 use capybara_suite::prelude::*;
 
 const MASTER_SEED: u64 = 0xCAFE_F417;
@@ -85,13 +85,12 @@ fn main() {
         Scenario::new("5min", &[]).at_horizon(SimTime::from_secs(300)),
     ];
     let grid_options = FuzzOptions::smoke(if smoke { 2 } else { 12 }, HORIZON);
-    let grid = fuzz_policy_grid_on(
+    let grid = fuzz_policy_grid(
         "fuzz-policy-grid",
         MASTER_SEED,
         &grid_options,
         &policies,
         &scenarios,
-        0,
         |_, policy| ta::build_with_policy(Variant::CapyR, schedule(), SCENARIO_SEED, policy),
         |_| Ok(()),
     );

@@ -200,6 +200,16 @@ fn accumulator_footprint_is_independent_of_device_count() {
 }
 
 #[test]
+fn report_counts_only_the_workers_it_used() {
+    // Three devices make three shards, so at most three threads work.
+    let spec = synthetic_spec(3);
+    assert_eq!(run_fleet_on(&spec, 8, synthetic_outcome).workers, 3);
+    let (leg, _) = run_fleet_leg_on(&spec, 8, None, |p, _| synthetic_outcome(p));
+    assert_eq!(leg.workers, 3);
+    assert_eq!(run_fleet_on(&spec, 0, synthetic_outcome).workers, 1);
+}
+
+#[test]
 fn survival_curve_is_monotone_and_quantiles_are_ordered() {
     let spec = synthetic_spec(500);
     let report = run_fleet_on(&spec, 4, synthetic_outcome);

@@ -11,9 +11,10 @@ use std::fs;
 use std::path::PathBuf;
 
 use capybara_suite::manifest::{
-    parse_manifest, run_batch, run_manifest, run_manifest_on, validate_json, ManifestError,
-    EXIT_ASSERT, EXIT_LIMIT, EXIT_PASS, RESULT_SCHEMA,
+    parse_manifest, run_batch, run_manifest_on, validate_json, ManifestError, EXIT_ASSERT,
+    EXIT_LIMIT, EXIT_PASS, RESULT_SCHEMA,
 };
+use capybara_suite::sweep::available_workers;
 
 /// A scenario exercising nearly every grammar production: every
 /// harvester field in use, multiple banks/modes/tasks, sleep + repeat,
@@ -169,8 +170,8 @@ fn parse_emit_parse_round_trips_checked_in_manifests() {
 #[test]
 fn same_manifest_twice_is_bit_identical() {
     let manifest = parse_manifest(KITCHEN_SINK).expect("parses");
-    let a = run_manifest(&manifest, "kitchen-sink.capy").expect("runs");
-    let b = run_manifest(&manifest, "kitchen-sink.capy").expect("runs");
+    let a = run_manifest_on(&manifest, "kitchen-sink.capy", 1).expect("runs");
+    let b = run_manifest_on(&manifest, "kitchen-sink.capy", 1).expect("runs");
     assert_eq!(a, b, "reruns must agree exactly");
     assert_eq!(a.to_json().pretty(), b.to_json().pretty());
 }
@@ -238,7 +239,7 @@ fn checked_in_artifacts_match_fresh_runs() {
             "manifests/{}.capy",
             manifest_path.file_stem().unwrap().to_string_lossy()
         );
-        let fresh = run_manifest(&manifest, &file_label).expect("runs");
+        let fresh = run_manifest_on(&manifest, &file_label, available_workers()).expect("runs");
         let golden =
             fs::read_to_string(repo_path(&format!("{rel}.result.json"))).expect("golden artifact");
         assert_eq!(
@@ -379,7 +380,7 @@ fn unreadable_trace_is_a_build_error() {
         t.push_str("\n[fleet]\ndevices = 4\ntrace = does/not/exist.trace\n");
     });
     let manifest = parse_manifest(&text).expect("parses");
-    match run_manifest(&manifest, "m.capy").unwrap_err() {
+    match run_manifest_on(&manifest, "m.capy", 1).unwrap_err() {
         ManifestError::Build { message } => {
             assert!(message.contains("cannot read trace"), "{message}");
         }
@@ -392,7 +393,7 @@ fn fleet_rejects_per_device_assertions() {
     let text = fs::read_to_string(repo_path("manifests/fleet_smoke.capy")).expect("manifest reads");
     let text = text.replace("min_availability = 0.2", "require_event = boot");
     let manifest = parse_manifest(&text).expect("parses");
-    match run_manifest(&manifest, "m.capy").unwrap_err() {
+    match run_manifest_on(&manifest, "m.capy", 1).unwrap_err() {
         ManifestError::Build { message } => {
             assert!(message.contains("per-device"), "{message}");
         }
@@ -406,7 +407,7 @@ fn fleet_rejects_per_device_assertions() {
 fn failing_assertion_exits_one() {
     let text = minimal(|t| t.push_str("\n[assert]\ncompletions = alert >= 999\n"));
     let manifest = parse_manifest(&text).expect("parses");
-    let result = run_manifest(&manifest, "m.capy").expect("runs");
+    let result = run_manifest_on(&manifest, "m.capy", 1).expect("runs");
     assert_eq!(result.exit_code, EXIT_ASSERT);
     assert!(!result.passed);
     assert!(!result.assertions[0].passed);
@@ -421,7 +422,7 @@ fn tripped_limit_exits_two() {
         );
     });
     let manifest = parse_manifest(&text).expect("parses");
-    let result = run_manifest(&manifest, "m.capy").expect("runs");
+    let result = run_manifest_on(&manifest, "m.capy", 1).expect("runs");
     assert_eq!(result.exit_code, EXIT_LIMIT);
     assert_eq!(result.outcome, "step-budget");
 }
@@ -562,7 +563,7 @@ fn build_rejection_surfaces_as_manifest_error() {
         );
     });
     let manifest = parse_manifest(&text).expect("parses");
-    match run_manifest(&manifest, "m.capy").unwrap_err() {
+    match run_manifest_on(&manifest, "m.capy", 1).unwrap_err() {
         ManifestError::Build { message } => {
             assert!(message.contains("ascend"), "{message}");
         }
