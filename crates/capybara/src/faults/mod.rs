@@ -26,10 +26,10 @@
 //!   event log ([`validate_event_log`]), a caller-supplied application
 //!   invariant, execution-statistics conservation, and Zeno-style
 //!   livelock (reboot cycles that never complete a task). The
-//!   replay-from-zero explorer survives as
-//!   [`explore_kill_grid_replay`], the reference implementation the
-//!   snapshot rebuild is gated against: both must produce bit-identical
-//!   [`KillReport`]s (equality excludes the measured
+//!   replay-from-zero reference (re-simulate every prefix from t = 0
+//!   with public [`Simulator`] calls) lives in `tests/kill_grid.rs`,
+//!   which gates the snapshot explorer against it: both must produce
+//!   bit-identical [`KillReport`]s (equality excludes the measured
 //!   [`ExplorationStats`], exactly like `RunSummary::wall`).
 //! * **[`fuzz`]** — seeded randomized kill/fault schedules beyond the
 //!   exhaustive grid, including correlated multi-bank rail surges
@@ -331,8 +331,8 @@ pub struct KillOutcome {
 /// Simulated-time cost accounting for one exploration pass — how many
 /// simulated seconds the explorer actually had to step. Measured
 /// telemetry, **excluded from [`KillReport`] equality** (exactly like
-/// `RunSummary::wall`): the snapshot-based and replay-based explorers
-/// produce equal reports with very different stats.
+/// `RunSummary::wall`): the snapshot explorer and a replay-from-zero
+/// reference produce equal reports with very different stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExplorationStats {
     /// Simulated time stepped by the record pass (one full scenario).
@@ -342,16 +342,16 @@ pub struct ExplorationStats {
     /// pays only the boundary gaps.
     pub prefix_sim: SimDuration,
     /// Simulated time stepped from each kill to the horizon (the
-    /// recovery suffix — identical work for both explorers).
+    /// recovery suffix — the same work a replay from zero does).
     pub resumed_sim: SimDuration,
     /// Snapshots captured by the record pass.
     pub snapshots: usize,
 }
 
 impl ExplorationStats {
-    /// The stepping the snapshot rebuild optimizes: record pass plus
-    /// every kill-point prefix (the recovery suffix is excluded — both
-    /// explorers must simulate it in full).
+    /// The stepping the snapshot resume optimizes: record pass plus
+    /// every kill-point prefix (the recovery suffix is excluded — a
+    /// replay from zero must simulate it in full too).
     #[must_use]
     pub fn stepped_sim(&self) -> SimDuration {
         self.record_sim.saturating_add(self.prefix_sim)
@@ -455,14 +455,13 @@ impl KillReport {
 /// Runs the record pass: steps `sim` to `horizon` collecting every task
 /// boundary plus every finite switch-latch decay deadline ±`epsilon`,
 /// clamped to `(0, horizon)`. Returns the sorted, deduplicated grid
-/// plus — when `capture` is set — a [`SimSnapshot`] at t = 0 and after
-/// every [`KillGridOptions::snapshot_stride`]-th task boundary, in time
+/// plus a [`SimSnapshot`] at t = 0 and after every
+/// [`KillGridOptions::snapshot_stride`]-th task boundary, in time
 /// order, for the kill pass to resume from.
 fn record_timeline<H, C>(
     sim: &mut Simulator<H, C>,
     horizon: SimTime,
     options: &KillGridOptions,
-    capture: bool,
 ) -> (Vec<SimTime>, Vec<SimSnapshot<H, C>>)
 where
     H: Harvester + Clone,
@@ -470,10 +469,7 @@ where
 {
     let epsilon = options.epsilon;
     let stride = options.snapshot_stride.max(1);
-    let mut snapshots = Vec::new();
-    if capture {
-        snapshots.push(sim.snapshot());
-    }
+    let mut snapshots = vec![sim.snapshot()];
     let mut grid = Vec::new();
     let mut push = |t: SimTime| {
         if t > SimTime::ZERO && t < horizon {
@@ -499,7 +495,7 @@ where
             push(deadline.saturating_add(epsilon));
         }
         boundaries += 1;
-        if capture && boundaries.is_multiple_of(stride) {
+        if boundaries.is_multiple_of(stride) {
             snapshots.push(sim.snapshot());
         }
     }
@@ -548,9 +544,9 @@ fn subsample(grid: &[SimTime], options: &KillGridOptions) -> Vec<SimTime> {
 ///
 /// Each kill resumes from the nearest recorded snapshot *strictly
 /// before* the kill instant (stepping only the boundary gap), so the
-/// whole grid costs O(points × boundary-gap) simulated time. The
-/// produced report is bit-identical to [`explore_kill_grid_replay`]'s —
-/// only the measured [`KillReport::stats`] differ.
+/// whole grid costs O(points × boundary-gap) simulated time instead of
+/// the O(points × horizon) of replaying every prefix from t = 0;
+/// `tests/kill_grid.rs` gates the report bit-identical to such a replay.
 pub fn explore_kill_grid<H, C, B, V>(
     horizon: SimTime,
     options: &KillGridOptions,
@@ -563,46 +559,10 @@ where
     B: Fn() -> Simulator<H, C> + Sync,
     V: Fn(&Simulator<H, C>) -> Result<(), String> + Sync,
 {
-    explore(horizon, options, &build, &invariant, true)
-}
-
-/// The replay-from-zero reference explorer: identical record pass and
-/// checks, but every kill point re-simulates its whole prefix from
-/// t = 0 — O(points × horizon). Kept as the ground truth
-/// [`explore_kill_grid`] is gated against; use it when auditing the
-/// snapshot path itself, never for routine exploration.
-pub fn explore_kill_grid_replay<H, C, B, V>(
-    horizon: SimTime,
-    options: &KillGridOptions,
-    build: B,
-    invariant: V,
-) -> KillReport
-where
-    H: Harvester + Clone + Sync,
-    C: SimContext + Clone + Sync,
-    B: Fn() -> Simulator<H, C> + Sync,
-    V: Fn(&Simulator<H, C>) -> Result<(), String> + Sync,
-{
-    explore(horizon, options, &build, &invariant, false)
-}
-
-fn explore<H, C, B, V>(
-    horizon: SimTime,
-    options: &KillGridOptions,
-    build: &B,
-    invariant: &V,
-    use_snapshots: bool,
-) -> KillReport
-where
-    H: Harvester + Clone + Sync,
-    C: SimContext + Clone + Sync,
-    B: Fn() -> Simulator<H, C> + Sync,
-    V: Fn(&Simulator<H, C>) -> Result<(), String> + Sync,
-{
     // Record pass: the fault-free timeline defines the kill grid and
     // must itself be clean.
     let mut recorder = build();
-    let (grid, snapshots) = record_timeline(&mut recorder, horizon, options, use_snapshots);
+    let (grid, snapshots) = record_timeline(&mut recorder, horizon, options);
     let record_sim = recorder.now().saturating_since(SimTime::ZERO);
     let baseline = RunSummary::from_sim(&recorder, std::time::Duration::ZERO);
     let baseline_violation = validate_event_log(recorder.events())
@@ -627,11 +587,9 @@ where
         // Strictness matters when a snapshot sits exactly at kill_at —
         // `run_until` stops at its first check with now >= kill_at, and
         // resuming *at* the kill would skip that check's side ordering.
-        let resume = use_snapshots.then(|| {
-            let idx = snapshots.partition_point(|s| s.now() < kill_at);
-            &snapshots[idx - 1] // idx >= 1: the t=0 snapshot precedes every grid point
-        });
-        run_one_kill(build, invariant, kill_at, horizon, options, resume)
+        let idx = snapshots.partition_point(|s| s.now() < kill_at);
+        let resume = &snapshots[idx - 1]; // idx >= 1: the t=0 snapshot precedes every grid point
+        run_one_kill(&build, &invariant, kill_at, horizon, options, resume)
     });
     let mut stats = ExplorationStats {
         record_sim,
@@ -654,9 +612,8 @@ where
     }
 }
 
-/// One kill experiment: reach the kill point (from `resume` when given,
-/// from scratch otherwise), cut power, resume to the horizon, check
-/// everything. Also returns the simulated prefix (start → kill) and
+/// One kill experiment: restore `resume`, step to the kill point, cut
+/// power, resume to the horizon, check everything. Also returns the simulated prefix (start → kill) and
 /// suffix (kill → end) spans this experiment stepped.
 fn run_one_kill<H, C, B, V>(
     build: &B,
@@ -664,7 +621,7 @@ fn run_one_kill<H, C, B, V>(
     kill_at: SimTime,
     horizon: SimTime,
     options: &KillGridOptions,
-    resume: Option<&SimSnapshot<H, C>>,
+    resume: &SimSnapshot<H, C>,
 ) -> (KillOutcome, SimDuration, SimDuration)
 where
     H: Harvester + Clone,
@@ -673,9 +630,7 @@ where
     V: Fn(&Simulator<H, C>) -> Result<(), String>,
 {
     let mut sim = build();
-    if let Some(snap) = resume {
-        sim.restore(snap);
-    }
+    sim.restore(resume);
     let start = sim.now();
     let pre = sim.run_until(kill_at);
     let landed = sim.now();
@@ -943,36 +898,6 @@ mod tests {
             .outcomes
             .iter()
             .all(|o| full_times.contains(&o.kill_at)));
-    }
-
-    #[test]
-    fn snapshot_explorer_matches_replay_and_steps_far_less() {
-        let options = KillGridOptions {
-            workers: 2,
-            ..KillGridOptions::default()
-        };
-        let snap = explore_kill_grid(HORIZON, &options, steady, counter_invariant);
-        let replay = explore_kill_grid_replay(HORIZON, &options, steady, counter_invariant);
-        // Same report, bit for bit (equality excludes the stats).
-        assert_eq!(snap, replay);
-        assert_eq!(snap.digest(), replay.digest());
-        assert!(
-            snap.is_clean_strict(),
-            "violations: {:?}",
-            snap.violations()
-        );
-        // Same recovery work, radically less prefix work.
-        assert!(snap.stats.snapshots > 0);
-        assert_eq!(replay.stats.snapshots, 0);
-        assert_eq!(snap.stats.record_sim, replay.stats.record_sim);
-        assert_eq!(snap.stats.resumed_sim, replay.stats.resumed_sim);
-        assert!(
-            replay.stats.stepped_sim().as_micros() >= 5 * snap.stats.stepped_sim().as_micros(),
-            "snapshot resume must step >= 5x fewer simulated seconds: \
-             replay {:?} vs snapshot {:?}",
-            replay.stats,
-            snap.stats
-        );
     }
 
     #[test]

@@ -103,8 +103,8 @@ pub mod prelude {
         FuzzOutcome, FuzzReport,
     };
     pub use crate::faults::{
-        explore_kill_grid, explore_kill_grid_replay, ExplorationStats, FaultPlan, KillGridOptions,
-        KillOutcome, KillReport, SurgeEffect,
+        explore_kill_grid, ExplorationStats, FaultPlan, KillGridOptions, KillOutcome, KillReport,
+        SurgeEffect,
     };
     pub use crate::fleet::{
         parse_harvest_trace, run_fleet_leg_on, run_fleet_on, DeviceOutcome, DevicePoint,

@@ -822,18 +822,25 @@ pub fn run_batch(paths: &[PathBuf], workers: usize, out_dir: Option<&Path>) -> B
     }
 }
 
-/// Validates that `text` is well-formed JSON and, when `schema` names a
-/// known schema, that the document structurally matches it.
+/// Validates that `text` is well-formed JSON and, when `schema` is
+/// given, that the document declares that schema and structurally
+/// matches it.
 ///
-/// Known schemas: `capy-result/v1` (requires `name`/`outcome`/
-/// `exit_code`/`passed`/`summary`/`assertions`, or the error form with
-/// `error`) and `capybara-sim-throughput/v1` (requires a non-empty
-/// `cases` array).
+/// The one known schema is `capy-result/v1`: a result requires `name`/
+/// `file`/`variant`/`outcome`/`exit_code`/`passed`/`sim_seconds`/
+/// `summary`/`task_completions`/`assertions`, and the error form (with
+/// `error`) requires `file`/`exit_code`/`passed`.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first problem.
+/// Returns a human-readable description of the first problem; an
+/// unknown `schema` name is an error, never a pass.
 pub fn validate_json(text: &str, schema: Option<&str>) -> Result<(), String> {
+    if let Some(name) = schema.filter(|&name| name != RESULT_SCHEMA) {
+        return Err(format!(
+            "unknown schema `{name}` (the known schema is `{RESULT_SCHEMA}`)"
+        ));
+    }
     let doc = crate::json::parse(text).map_err(|e| e.to_string())?;
     let Some(expected) = schema else {
         return Ok(());
@@ -845,17 +852,12 @@ pub fn validate_json(text: &str, schema: Option<&str>) -> Result<(), String> {
     if declared != expected {
         return Err(format!("schema is `{declared}`, expected `{expected}`"));
     }
-    match expected {
-        RESULT_SCHEMA => {
-            if doc.get("error").is_some() {
-                for key in ["file", "exit_code", "passed"] {
-                    if doc.get(key).is_none() {
-                        return Err(format!("error result is missing `{key}`"));
-                    }
-                }
-                return Ok(());
-            }
-            for key in [
+    let (form, required): (&str, &[&str]) = if doc.get("error").is_some() {
+        ("error result", &["file", "exit_code", "passed"])
+    } else {
+        (
+            "result",
+            &[
                 "name",
                 "file",
                 "variant",
@@ -866,39 +868,11 @@ pub fn validate_json(text: &str, schema: Option<&str>) -> Result<(), String> {
                 "summary",
                 "task_completions",
                 "assertions",
-            ] {
-                if doc.get(key).is_none() {
-                    return Err(format!("result is missing `{key}`"));
-                }
-            }
-            Ok(())
-        }
-        "capybara-sim-throughput/v1" => {
-            let cases = doc
-                .get("cases")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| "document has no `cases` array".to_string())?;
-            if cases.is_empty() {
-                return Err("`cases` array is empty".to_string());
-            }
-            if !cases.iter().any(|c| c.get("fleet_devices_per_s").is_some()) {
-                return Err(
-                    "no case reports `fleet_devices_per_s` (the fleet population series)"
-                        .to_string(),
-                );
-            }
-            if !cases.iter().any(|c| {
-                c.get("fleet_devices_per_s").is_some()
-                    && c.get("trace").and_then(JsonValue::as_bool) == Some(true)
-            }) {
-                return Err(
-                    "no trace-driven `fleet_devices_per_s` case (a fleet case with \
-                            `\"trace\": true`)"
-                        .to_string(),
-                );
-            }
-            Ok(())
-        }
-        _ => Ok(()),
+            ],
+        )
+    };
+    match required.iter().find(|&&key| doc.get(key).is_none()) {
+        Some(key) => Err(format!("{form} is missing `{key}`")),
+        None => Ok(()),
     }
 }

@@ -36,8 +36,10 @@ OPTIONS:
     --out-dir DIR        write <stem>.result.json artifacts into DIR
                          (default: next to each manifest)
     --validate-json F    check that F is well-formed JSON; with --schema,
-                         also check it structurally matches a known schema
-    --schema NAME        expected top-level schema of --validate-json
+                         also check it declares and structurally matches
+                         that schema
+    --schema NAME        expected schema of --validate-json; the only known
+                         schema is capy-result/v1, any other name fails
     --help               print this help
 
 EXIT CODES:

@@ -4,12 +4,14 @@
 //! and component-failure concerns, checked end to end).
 
 use capy_units::rng::DetRng;
-use capy_units::{SimDuration, SimTime};
+use capy_units::{SimDuration, SimTime, Volts, Watts};
 use capybara_suite::apps::events::{fit_span, poisson_events};
 use capybara_suite::apps::grc::{self, GrcVariant};
 use capybara_suite::apps::{csr, ta};
 use capybara_suite::core::sim::validate_event_log;
-use capybara_suite::faults::{explore_kill_grid, FaultPlan, KillGridOptions};
+use capybara_suite::faults::{
+    explore_kill_grid, ExplorationStats, FaultPlan, KillGridOptions, KillOutcome, KillReport,
+};
 use capybara_suite::prelude::*;
 
 const SEED: u64 = 0x417;
@@ -80,6 +82,208 @@ fn ta_kill_grid_is_clean_and_worker_count_invariant() {
         .expect("a truncated grid must carry a strict-mode complaint")
         .contains("dropped"));
     assert!(serial.digest().contains("dropped by subsampling"));
+}
+
+/// The replay-from-zero reference explorer, built only from public
+/// simulator calls: the baseline and every kill point `snap` explored
+/// are re-simulated from t = 0 (build → run to the kill → cut power →
+/// run to the horizon) and put through the same checks. The grid and
+/// its subsampling come from `snap`; everything else is recomputed, so
+/// `snap == replay` pins the snapshot explorer's resume to a full
+/// replay, and the stats measure what replay costs.
+fn replay_from_zero<H: Harvester, C: SimContext>(
+    snap: &KillReport,
+    horizon: SimTime,
+    zeno_boot_limit: u64,
+    build: impl Fn() -> Simulator<H, C>,
+    invariant: impl Fn(&Simulator<H, C>) -> Result<(), String>,
+) -> KillReport {
+    let checks = |sim: &Simulator<H, C>, summary: &RunSummary| {
+        validate_event_log(sim.events())
+            .or_else(|| {
+                (summary.attempts != summary.completions + summary.failures)
+                    .then(|| "execution accounting broken".to_string())
+            })
+            .or_else(|| invariant(sim).err())
+    };
+    let mut recorder = build();
+    recorder.run_until(horizon);
+    let baseline = RunSummary::from_sim(&recorder, std::time::Duration::ZERO);
+    let mut stats = ExplorationStats {
+        record_sim: recorder.now().saturating_since(SimTime::ZERO),
+        ..ExplorationStats::default()
+    };
+    let outcomes = snap
+        .outcomes
+        .iter()
+        .map(|o| {
+            let mut sim = build();
+            let pre = sim.run_until(o.kill_at);
+            let landed = sim.now();
+            let at_kill = sim.exec_stats();
+            let mut violation = matches!(pre, StepResult::Stalled { .. })
+                .then(|| format!("stalled before the kill at {}", o.kill_at));
+            if pre == StepResult::Progress {
+                sim.inject_power_failure();
+                if let StepResult::Stalled { .. } = sim.run_until(horizon) {
+                    violation = Some(format!("stalled after the kill at {}", o.kill_at));
+                }
+            }
+            stats.prefix_sim = stats
+                .prefix_sim
+                .saturating_add(landed.saturating_since(SimTime::ZERO));
+            stats.resumed_sim = stats
+                .resumed_sim
+                .saturating_add(sim.now().saturating_since(landed));
+            let summary = RunSummary::from_sim(&sim, std::time::Duration::ZERO);
+            let violation = violation.or_else(|| checks(&sim, &summary)).or_else(|| {
+                let reboots = summary.reboots - at_kill.reboots;
+                let completions = summary.completions - at_kill.completions;
+                (reboots >= zeno_boot_limit && completions == 0)
+                    .then(|| format!("Zeno livelock after the kill at {}", o.kill_at))
+            });
+            KillOutcome {
+                kill_at: o.kill_at,
+                summary,
+                violation,
+            }
+        })
+        .collect();
+    KillReport {
+        baseline_violation: checks(&recorder, &baseline),
+        baseline,
+        grid_points: snap.grid_points,
+        dropped_points: snap.dropped_points,
+        outcomes,
+        stats,
+    }
+}
+
+/// Asserts the snapshot explorer's report equals the replay reference's
+/// and that resuming from snapshots stepped ≥ 5× fewer simulated
+/// seconds for the same recovery work.
+fn assert_matches_replay(snap: &KillReport, replay: &KillReport) {
+    // Same report, bit for bit (equality excludes the stats).
+    assert_eq!(snap, replay);
+    assert_eq!(snap.digest(), replay.digest());
+    assert!(snap.is_clean(), "violations: {:?}", snap.violations());
+    assert!(snap.stats.snapshots > 0);
+    assert_eq!(snap.stats.record_sim, replay.stats.record_sim);
+    assert_eq!(snap.stats.resumed_sim, replay.stats.resumed_sim);
+    assert!(
+        replay.stats.stepped_sim().as_micros() >= 5 * snap.stats.stepped_sim().as_micros(),
+        "snapshot resume must step >= 5x fewer simulated seconds: \
+         replay {:?} vs snapshot {:?}",
+        replay.stats,
+        snap.stats
+    );
+}
+
+/// Toy scenario context: one committed counter.
+#[derive(Clone)]
+struct Counter {
+    n: NvVar<u64>,
+}
+
+impl NvState for Counter {
+    fn commit_all(&mut self) {
+        self.n.commit();
+    }
+    fn abort_all(&mut self) {
+        self.n.abort();
+    }
+}
+
+impl SimContext for Counter {
+    fn set_now(&mut self, _now: SimTime) {}
+}
+
+/// A steady-harvest two-bank sampler that bumps a committed counter
+/// every 10 ms task.
+fn steady() -> Simulator<ConstantHarvester, Counter> {
+    let power = PowerSystem::builder()
+        .harvester(ConstantHarvester::new(
+            Watts::from_milli(2.0),
+            Volts::new(3.0),
+        ))
+        .bank(
+            Bank::builder("small")
+                .with(parts::ceramic_x5r_400uf())
+                .build(),
+            SwitchKind::NormallyClosed,
+        )
+        .bank(
+            Bank::builder("big").with(parts::edlc_7_5mf()).build(),
+            SwitchKind::NormallyOpen,
+        )
+        .build();
+    Simulator::builder(Variant::CapyR, power, Mcu::msp430fr5969())
+        .mode("small", &[BankId(0)])
+        .mode("big", &[BankId(1)])
+        .task(
+            "sample",
+            TaskEnergy::Config(EnergyMode(0)),
+            |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
+            |c: &mut Counter| {
+                c.n.update(|x| x + 1);
+                Transition::Stay
+            },
+        )
+        .build(Counter { n: NvVar::new(0) })
+}
+
+/// The committed counter matches the completed-task count.
+fn counter_invariant(sim: &Simulator<ConstantHarvester, Counter>) -> Result<(), String> {
+    let committed = sim.ctx().n.get();
+    let completed = sim.exec_stats().completions;
+    (committed == completed)
+        .then_some(())
+        .ok_or_else(|| format!("committed counter {committed} != completions {completed}"))
+}
+
+/// The snapshot explorer reproduces the replay-from-zero reference on
+/// the exhaustive toy grid, bit for bit, at a fraction of the stepping.
+#[test]
+fn snapshot_explorer_matches_replay_and_steps_far_less() {
+    let horizon = SimTime::from_secs(5);
+    let options = KillGridOptions {
+        workers: 2,
+        ..KillGridOptions::default()
+    };
+    let snap = explore_kill_grid(horizon, &options, steady, counter_invariant);
+    assert!(
+        snap.is_clean_strict(),
+        "violations: {:?}",
+        snap.violations()
+    );
+    let replay = replay_from_zero(
+        &snap,
+        horizon,
+        options.zeno_boot_limit,
+        steady,
+        counter_invariant,
+    );
+    assert_matches_replay(&snap, &replay);
+}
+
+/// The same identity on a real application: the TA mission's short
+/// schedule, with a checkpoint at every boundary and at every 64th.
+#[test]
+fn ta_snapshot_explorer_matches_replay_at_any_stride() {
+    let build = || ta::build(Variant::CapyP, short_schedule(), SEED);
+    let mut replay = None;
+    for snapshot_stride in [1, 64] {
+        let options = KillGridOptions {
+            snapshot_stride,
+            ..KillGridOptions::smoke(1, 16)
+        };
+        let snap = explore_kill_grid(HORIZON, &options, build, |_| Ok(()));
+        assert_eq!(snap.outcomes.len(), 16);
+        let replay = replay.get_or_insert_with(|| {
+            replay_from_zero(&snap, HORIZON, options.zeno_boot_limit, build, |_| Ok(()))
+        });
+        assert_matches_replay(&snap, replay);
+    }
 }
 
 /// A bursty event schedule sized for a short GRC/CSR excursion.

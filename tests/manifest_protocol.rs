@@ -219,6 +219,50 @@ fn batch_artifacts_identical_for_any_worker_count() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `validate_json` is a real gate: an unknown schema name, a schema
+/// mismatch, a missing result field and malformed JSON each fail with
+/// an error naming the problem.
+#[test]
+fn validate_json_rejects_documents_outside_the_result_contract() {
+    let golden = fs::read_to_string(repo_path("manifests/quickstart.result.json"))
+        .expect("golden artifact reads");
+    validate_json(&golden, Some(RESULT_SCHEMA)).expect("golden artifact validates");
+    let error_form = r#"{"schema": "capy-result/v1", "file": "bad.capy", "error": "syntax", "exit_code": 3, "passed": false}"#;
+    validate_json(error_form, Some(RESULT_SCHEMA)).expect("error-form result validates");
+
+    let v2 = golden.replacen(RESULT_SCHEMA, "capy-result/v2", 1);
+    let no_summary = golden.replacen("\"summary\":", "\"summery\":", 1);
+    let no_exit_code = error_form.replacen("\"exit_code\": 3, ", "", 1);
+    let truncated = &golden[..golden.len() / 2];
+    for (doc, schema, expected) in [
+        (
+            &*v2,
+            Some("capy-result/v2"),
+            "unknown schema `capy-result/v2`",
+        ),
+        (
+            &*v2,
+            Some(RESULT_SCHEMA),
+            "schema is `capy-result/v2`, expected `capy-result/v1`",
+        ),
+        (
+            &*no_summary,
+            Some(RESULT_SCHEMA),
+            "result is missing `summary`",
+        ),
+        (
+            &*no_exit_code,
+            Some(RESULT_SCHEMA),
+            "error result is missing `exit_code`",
+        ),
+        (truncated, Some(RESULT_SCHEMA), "json: "),
+        (truncated, None, "json: "),
+    ] {
+        let err = validate_json(doc, schema).expect_err(expected);
+        assert!(err.contains(expected), "expected `{expected}`, got `{err}`");
+    }
+}
+
 #[test]
 fn checked_in_artifacts_match_fresh_runs() {
     // The result.json files committed next to the manifests are the
