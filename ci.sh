@@ -92,6 +92,13 @@ run cargo run --release --example faults -- --smoke
 run cargo bench -p capy-bench --bench baseline_federated
 run cargo bench -p capy-bench --bench char_area
 run cargo bench -p capy-bench --bench capysat_case_study
+# These four read every figure number from `run_sweep_extract_on`'s
+# build/extract closures; run them end-to-end so a regression in that
+# runner (or a bench's split of build from extract) fails the gate.
+run cargo bench -p capy-bench --bench fig2_fixed_capacity
+run cargo bench -p capy-bench --bench fig10_sensitivity
+run cargo bench -p capy-bench --bench fig11_intersample
+run cargo bench -p capy-bench --bench sweep_input_power
 
 # The kernel micro/A-B bench (capacitor closed forms, memo layers) must
 # still run, not just compile; quick mode keeps the gate fast. Its

@@ -40,10 +40,21 @@ use capy_power::harvester::Harvester;
 use capy_units::rng::{derive_seed, DetRng};
 use capy_units::SimTime;
 
-use super::{conservation_violation, FaultPlan, SurgeEffect};
+use super::{run_kill_schedule, FaultPlan, SurgeEffect};
 use crate::policy::{NamedPolicy, ReconfigPolicy, Scenario};
-use crate::sim::{validate_event_log, SimContext, Simulator, StepResult};
+use crate::sim::{SimContext, Simulator};
 use crate::sweep::{available_workers, map_points_on, RunSummary, SweepPoint, SweepSpec};
+
+/// Upper bound on power kills per case (each case draws 1..=this).
+pub const MAX_KILLS: usize = 4;
+
+/// Probability that a case also schedules one single-bank hardware
+/// fault.
+pub const FAULT_PROBABILITY: f64 = 0.5;
+
+/// Probability that a case also schedules one correlated multi-bank
+/// rail surge (needs ≥ 2 banks).
+pub const SURGE_PROBABILITY: f64 = 0.25;
 
 /// Tuning knobs of the fault fuzzer.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,17 +65,6 @@ pub struct FuzzOptions {
     /// Mission horizon every case runs to (per-scenario horizons
     /// override this in [`fuzz_policy_grid`]).
     pub horizon: SimTime,
-    /// Upper bound on power kills per case (each case draws 1..=this).
-    pub max_kills: usize,
-    /// Probability that a case also schedules one single-bank hardware
-    /// fault.
-    pub fault_probability: f64,
-    /// Probability that a case also schedules one correlated multi-bank
-    /// rail surge (needs ≥ 2 banks).
-    pub surge_probability: f64,
-    /// Livelock threshold, as in
-    /// [`KillGridOptions::zeno_boot_limit`](super::KillGridOptions).
-    pub zeno_boot_limit: u64,
     /// Worker threads (default: one per core).
     pub workers: usize,
 }
@@ -74,10 +74,6 @@ impl Default for FuzzOptions {
         Self {
             cases: 32,
             horizon: SimTime::from_secs(30),
-            max_kills: 4,
-            fault_probability: 0.5,
-            surge_probability: 0.25,
-            zeno_boot_limit: 64,
             workers: available_workers(),
         }
     }
@@ -111,28 +107,29 @@ pub struct FuzzCase {
     pub plan: FaultPlan,
 }
 
-/// Derives case `index` of `master_seed`'s sequence against a power
-/// system with `bank_count` banks. Pure: no simulation, no global
-/// state — the same arguments always produce the same case.
+/// Derives case `index` of `master_seed`'s sequence for a mission to
+/// `horizon` on a power system with `bank_count` banks. Pure: no
+/// simulation, no global state — the same arguments always produce the
+/// same case.
 #[must_use]
 pub fn derive_case(
     master_seed: u64,
     index: usize,
-    options: &FuzzOptions,
+    horizon: SimTime,
     bank_count: usize,
 ) -> FuzzCase {
     let seed = derive_seed(master_seed, index as u64);
     let mut rng = DetRng::seed_from_u64(seed);
-    let horizon_us = options.horizon.as_micros().max(2);
+    let horizon_us = horizon.as_micros().max(2);
     let draw_instant = |rng: &mut DetRng| SimTime::from_micros(rng.gen_range(1..horizon_us));
 
-    let n_kills = rng.gen_range(1..options.max_kills.max(1) + 1);
+    let n_kills = rng.gen_range(1..MAX_KILLS + 1);
     let mut kills: Vec<SimTime> = (0..n_kills).map(|_| draw_instant(&mut rng)).collect();
     kills.sort_unstable();
     kills.dedup();
 
     let mut plan = FaultPlan::new();
-    if bank_count > 0 && rng.gen_bool(options.fault_probability) {
+    if bank_count > 0 && rng.gen_bool(FAULT_PROBABILITY) {
         let bank = BankId(rng.gen_range(0..bank_count));
         let at = draw_instant(&mut rng);
         plan = match rng.gen_range(0..3u32) {
@@ -147,7 +144,7 @@ pub fn derive_case(
             _ => plan.bank_degraded(at, bank, rng.gen_range(0.3..0.9), rng.gen_range(1.0..3.0)),
         };
     }
-    if bank_count >= 2 && rng.gen_bool(options.surge_probability) {
+    if bank_count >= 2 && rng.gen_bool(SURGE_PROBABILITY) {
         let struck = rng.gen_range(2..bank_count + 1);
         let first = rng.gen_range(0..bank_count);
         let banks: Vec<BankId> = (0..struck)
@@ -236,64 +233,27 @@ impl FuzzReport {
     }
 }
 
-/// Runs one derived case: arm its fault plan, execute its kill
-/// schedule, recover to the horizon, then run the full check chain.
-fn run_case<H, C, B, V>(
-    build: &B,
+/// Runs case `index` of `master_seed`'s sequence on the freshly built
+/// `sim`: derives the case against `sim`'s banks, arms its fault plan,
+/// executes its kill schedule and recovers to `horizon` under the kill
+/// grid's check chain.
+fn run_case<H, C, V>(
+    mut sim: Simulator<H, C>,
+    master_seed: u64,
+    index: usize,
+    horizon: SimTime,
     invariant: &V,
-    case: &FuzzCase,
-    options: &FuzzOptions,
 ) -> FuzzOutcome
 where
     H: Harvester,
     C: SimContext,
-    B: Fn() -> Simulator<H, C>,
     V: Fn(&Simulator<H, C>) -> Result<(), String>,
 {
-    let mut sim = build();
+    let case = derive_case(master_seed, index, horizon, sim.power().bank_count());
     case.plan.arm(&mut sim);
-    let mut violation = None;
-    let mut stats_at_last_kill = None;
-    for &kill_at in &case.kills {
-        match sim.run_until(kill_at) {
-            StepResult::Stalled { steps } => {
-                violation = Some(format!(
-                    "stalled before the kill at {kill_at} ({steps} stuck steps)"
-                ));
-                break;
-            }
-            StepResult::Stopped => break,
-            StepResult::Progress => {
-                stats_at_last_kill = Some(sim.exec_stats());
-                sim.inject_power_failure();
-            }
-        }
-    }
-    if violation.is_none() {
-        if let StepResult::Stalled { steps } = sim.run_until(options.horizon) {
-            violation = Some(format!(
-                "stalled after the kill schedule ({steps} stuck steps)"
-            ));
-        }
-    }
-    let summary = RunSummary::from_sim(&sim, std::time::Duration::ZERO);
-    let violation = violation
-        .or_else(|| validate_event_log(sim.events()))
-        .or_else(|| conservation_violation(&summary))
-        .or_else(|| invariant(&sim).err())
-        .or_else(|| {
-            let at_kill = stats_at_last_kill?;
-            let reboots = summary.reboots - at_kill.reboots;
-            let completions = summary.completions - at_kill.completions;
-            (reboots >= options.zeno_boot_limit && completions == 0).then(|| {
-                format!(
-                    "Zeno livelock after the last kill: \
-                     {reboots} reboots with zero completions"
-                )
-            })
-        });
+    let (summary, violation, _) = run_kill_schedule(&mut sim, &case.kills, horizon, invariant);
     FuzzOutcome {
-        case: case.clone(),
+        case,
         summary,
         violation,
     }
@@ -318,8 +278,6 @@ where
     B: Fn() -> Simulator<H, C> + Sync,
     V: Fn(&Simulator<H, C>) -> Result<(), String> + Sync,
 {
-    // One probe build tells the generator how many banks it can strike.
-    let bank_count = build().power().bank_count();
     #[allow(clippy::cast_precision_loss)]
     let spec = (0..options.cases).fold(
         SweepSpec::new("fault-fuzz", options.horizon).base_seed(master_seed),
@@ -328,8 +286,7 @@ where
     let outcomes = map_points_on(&spec, options.workers, |point| {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let index = point.expect_param("case") as usize;
-        let case = derive_case(master_seed, index, options, bank_count);
-        run_case(&build, &invariant, &case, options)
+        run_case(build(), master_seed, index, options.horizon, &invariant)
     });
     FuzzReport {
         master_seed,
@@ -353,9 +310,13 @@ where
     B: Fn() -> Simulator<H, C>,
     V: Fn(&Simulator<H, C>) -> Result<(), String>,
 {
-    let bank_count = build().power().bank_count();
-    let case = derive_case(master_seed, case_index, options, bank_count);
-    run_case(&build, &invariant, &case, options)
+    run_case(
+        build(),
+        master_seed,
+        case_index,
+        options.horizon,
+        &invariant,
+    )
 }
 
 /// The result of one [`fuzz_policy_grid`] campaign: fuzz outcomes
@@ -493,15 +454,10 @@ where
             point.expect_param("scenario") as usize,
             point.expect_param("case") as usize,
         );
-        let cell_options = FuzzOptions {
-            horizon: scenarios[si].horizon.unwrap_or(options.horizon),
-            ..options.clone()
-        };
-        let build_sim = || build(point, policy.instantiate(point));
-        let bank_count = build_sim().power().bank_count();
+        let horizon = scenarios[si].horizon.unwrap_or(options.horizon);
         let cell_seed = derive_seed(master_seed, (pi * scenarios.len() + si) as u64);
-        let case = derive_case(cell_seed, ci, &cell_options, bank_count);
-        run_case(&build_sim, &invariant, &case, &cell_options)
+        let sim = build(point, policy.instantiate(point));
+        run_case(sim, cell_seed, ci, horizon, &invariant)
     });
     FuzzGrid {
         master_seed,
@@ -515,98 +471,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotation::TaskEnergy;
+    use crate::faults::tests::{counter_invariant, dying, sampler, steady, steady_harvest};
     use crate::mode::EnergyMode;
     use crate::policy::StaticAnnotation;
-    use crate::variant::Variant;
-    use capy_device::load::TaskLoad;
-    use capy_device::mcu::Mcu;
-    use capy_intermittent::nv::{NvState, NvVar};
-    use capy_intermittent::task::Transition;
-    use capy_power::bank::Bank;
-    use capy_power::harvester::{ConstantHarvester, TraceHarvester};
-    use capy_power::switch::SwitchKind;
-    use capy_power::system::PowerSystem;
-    use capy_power::technology::parts;
-    use capy_units::{SimDuration, Volts, Watts};
-
-    #[derive(Clone)]
-    struct Ctx {
-        n: NvVar<u64>,
-    }
-
-    impl NvState for Ctx {
-        fn commit_all(&mut self) {
-            self.n.commit();
-        }
-        fn abort_all(&mut self) {
-            self.n.abort();
-        }
-    }
-
-    impl SimContext for Ctx {
-        fn set_now(&mut self, _now: SimTime) {}
-    }
-
-    fn two_bank_power<H: Harvester>(harvester: H) -> PowerSystem<H> {
-        PowerSystem::builder()
-            .harvester(harvester)
-            .bank(
-                Bank::builder("small")
-                    .with(parts::ceramic_x5r_400uf())
-                    .build(),
-                SwitchKind::NormallyClosed,
-            )
-            .bank(
-                Bank::builder("big").with(parts::edlc_7_5mf()).build(),
-                SwitchKind::NormallyOpen,
-            )
-            .build()
-    }
-
-    fn sampler<H: Harvester>(
-        power: PowerSystem<H>,
-        policy: Option<Box<dyn ReconfigPolicy>>,
-    ) -> Simulator<H, Ctx> {
-        let mut b = Simulator::builder(Variant::CapyR, power, Mcu::msp430fr5969())
-            .mode("small", &[BankId(0)])
-            .mode("big", &[BankId(1)])
-            .task(
-                "sample",
-                TaskEnergy::Config(EnergyMode(0)),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
-                |c: &mut Ctx| {
-                    c.n.update(|x| x + 1);
-                    Transition::Stay
-                },
-            );
-        if let Some(p) = policy {
-            b = b.policy(p);
-        }
-        b.build(Ctx { n: NvVar::new(0) })
-    }
-
-    fn steady() -> Simulator<ConstantHarvester, Ctx> {
-        sampler(
-            two_bank_power(ConstantHarvester::new(
-                Watts::from_milli(2.0),
-                Volts::new(3.0),
-            )),
-            None,
-        )
-    }
-
-    fn counter_invariant(sim: &Simulator<impl Harvester, Ctx>) -> Result<(), String> {
-        let committed = sim.ctx().n.get();
-        let completed = sim.exec_stats().completions;
-        if committed == completed {
-            Ok(())
-        } else {
-            Err(format!(
-                "committed counter {committed} != completions {completed}"
-            ))
-        }
-    }
+    use capy_units::SimDuration;
 
     const MASTER: u64 = 0xFA57;
 
@@ -621,12 +489,12 @@ mod tests {
     fn derive_case_is_pure_and_well_formed() {
         let options = smoke_options();
         for index in 0..32 {
-            let a = derive_case(MASTER, index, &options, 2);
-            let b = derive_case(MASTER, index, &options, 2);
+            let a = derive_case(MASTER, index, options.horizon, 2);
+            let b = derive_case(MASTER, index, options.horizon, 2);
             assert_eq!(a, b, "same (seed, index) must derive the same case");
             assert_eq!(a.index, index);
             assert_eq!(a.seed, derive_seed(MASTER, index as u64));
-            assert!(!a.kills.is_empty() && a.kills.len() <= options.max_kills);
+            assert!(!a.kills.is_empty() && a.kills.len() <= MAX_KILLS);
             assert!(a.kills.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
             assert!(a
                 .kills
@@ -635,12 +503,12 @@ mod tests {
         }
         // Distinct indices diverge (at least somewhere in a batch).
         let cases: Vec<FuzzCase> = (0..8)
-            .map(|i| derive_case(MASTER, i, &options, 2))
+            .map(|i| derive_case(MASTER, i, options.horizon, 2))
             .collect();
         assert!(cases.windows(2).any(|w| w[0].kills != w[1].kills));
         // Some derived case exercises the fault and surge paths.
         let with_faults = (0..64)
-            .map(|i| derive_case(MASTER, i, &options, 2))
+            .map(|i| derive_case(MASTER, i, options.horizon, 2))
             .filter(|c| !c.plan.is_empty())
             .count();
         assert!(with_faults > 0, "fault probability never fired in 64 cases");
@@ -673,17 +541,8 @@ mod tests {
     fn a_fuzz_violation_replays_from_seed_and_index_alone() {
         // Harvest dies at t=2s, so cases whose last kill lands after
         // that stall — guaranteed violations.
-        let build = || {
-            sampler(
-                two_bank_power(TraceHarvester::new(vec![
-                    (SimTime::ZERO, Watts::from_milli(2.0), Volts::new(3.0)),
-                    (SimTime::from_secs(2), Watts::ZERO, Volts::ZERO),
-                ])),
-                None,
-            )
-        };
         let options = smoke_options();
-        let report = fuzz_faults(MASTER, &options, build, counter_invariant);
+        let report = fuzz_faults(MASTER, &options, dying, counter_invariant);
         let violations = report.violations();
         assert!(!violations.is_empty(), "dead harvest must surface");
         for bad in violations {
@@ -691,7 +550,7 @@ mod tests {
                 report.master_seed,
                 bad.case.index,
                 &options,
-                build,
+                dying,
                 counter_invariant,
             );
             assert_eq!(&replayed, bad, "replay must be bit-identical");
@@ -724,15 +583,7 @@ mod tests {
                 },
                 &policies,
                 &scenarios,
-                |_, policy| {
-                    sampler(
-                        two_bank_power(ConstantHarvester::new(
-                            Watts::from_milli(2.0),
-                            Volts::new(3.0),
-                        )),
-                        Some(policy),
-                    )
-                },
+                |_, policy| sampler(steady_harvest(), SimDuration::from_millis(10), Some(policy)),
                 counter_invariant,
             )
         };

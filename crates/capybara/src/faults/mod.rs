@@ -14,8 +14,8 @@
 //!   look like when the big bank's switch dies at minute 30?".
 //! * **[`explore_kill_grid`]** — the exhaustive kill-point explorer. A
 //!   *record pass* runs the scenario once, collecting every task
-//!   boundary plus every switch-latch decay deadline (±ε, the instants
-//!   where reconfiguration state is most fragile) **and a
+//!   boundary plus every switch-latch decay deadline (±[`KILL_EPSILON`],
+//!   the instants where reconfiguration state is most fragile) **and a
 //!   [`SimSnapshot`] checkpoint at each boundary**. The *kill pass* then
 //!   handles each grid point by restoring the nearest prior snapshot and
 //!   stepping only the boundary gap to the kill instant — O(points ×
@@ -25,7 +25,8 @@
 //!   recover to its horizon. Every resumed run is checked for a clean
 //!   event log ([`validate_event_log`]), a caller-supplied application
 //!   invariant, execution-statistics conservation, and Zeno-style
-//!   livelock (reboot cycles that never complete a task). The
+//!   livelock ([`ZENO_BOOT_LIMIT`] reboot cycles that never complete a
+//!   task). The
 //!   replay-from-zero reference (re-simulate every prefix from t = 0
 //!   with public [`Simulator`] calls) lives in `tests/kill_grid.rs`,
 //!   which gates the snapshot explorer against it: both must produce
@@ -36,6 +37,13 @@
 //!   ([`FaultPlan::rail_surge`]); every case re-derives from
 //!   `(master_seed, case_index)` alone, so any violation replays
 //!   deterministically.
+//!
+//! Both explorers hand their kills to one private runner on a
+//! simulator they have already built — the grid one kill on a restored
+//! snapshot, the fuzzer a whole derived schedule on an armed fresh
+//! build — so they apply the same check chain and word its violations
+//! alike ("stalled after the kill at T", "Zeno livelock after the kill
+//! at T", with T the last kill).
 //!
 //! # Kill granularity
 //!
@@ -59,7 +67,7 @@ use capy_power::bank::BankId;
 use capy_power::harvester::Harvester;
 use capy_power::lifetime::WearModel;
 use capy_power::switch::SwitchFault;
-use capy_power::system::{HardwareFault, PowerSystem};
+use capy_power::system::HardwareFault;
 use capy_units::{SimDuration, SimTime, Volts};
 
 use crate::sim::{validate_event_log, SimContext, SimSnapshot, Simulator, StepResult};
@@ -224,10 +232,11 @@ impl FaultPlan {
         self.faults.is_empty() && self.wear.is_none() && self.startup_margin.is_none()
     }
 
-    /// Arms the whole plan onto `power`: discrete faults are scheduled
-    /// as simulated physics, the wear model and startup margin are
-    /// installed immediately.
-    pub fn apply<H: Harvester>(&self, power: &mut PowerSystem<H>) {
+    /// Arms the whole plan onto `sim`'s power system: discrete faults
+    /// are scheduled as simulated physics, the wear model and startup
+    /// margin are installed immediately.
+    pub fn arm<H: Harvester, C: SimContext>(&self, sim: &mut Simulator<H, C>) {
+        let power = sim.power_mut();
         for &(at, fault) in &self.faults {
             power.schedule_fault(at, fault);
         }
@@ -237,11 +246,6 @@ impl FaultPlan {
         if let Some(margin) = self.startup_margin {
             power.set_startup_margin(margin);
         }
-    }
-
-    /// [`FaultPlan::apply`] for an already-built simulator.
-    pub fn arm<H: Harvester, C: SimContext>(&self, sim: &mut Simulator<H, C>) {
-        self.apply(sim.power_mut());
     }
 }
 
@@ -262,6 +266,16 @@ pub enum SurgeEffect {
     },
 }
 
+/// The ε of the kill grid's extra kill instants straddling each
+/// switch-latch decay deadline: the grid gains `deadline − ε` and
+/// `deadline + ε`.
+pub const KILL_EPSILON: SimDuration = SimDuration::from_millis(1);
+
+/// Livelock threshold of both explorers: a run that reboots at least
+/// this many times after its last kill without completing a single task
+/// is flagged as a Zeno violation.
+pub const ZENO_BOOT_LIMIT: u64 = 64;
+
 /// Tuning knobs of the kill-grid explorer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillGridOptions {
@@ -271,13 +285,6 @@ pub struct KillGridOptions {
     /// Cap the subsampled grid at this many points, spread evenly over
     /// the recorded range.
     pub max_points: Option<usize>,
-    /// Extra kill instants straddling each switch-latch decay deadline:
-    /// the grid gains `deadline − ε` and `deadline + ε`.
-    pub epsilon: SimDuration,
-    /// Livelock threshold: a resumed run that reboots at least this many
-    /// times after the kill without completing a single task is flagged
-    /// as a Zeno violation.
-    pub zeno_boot_limit: u64,
     /// Worker threads for the kill pass (default: one per core).
     pub workers: usize,
     /// Checkpoint every `snapshot_stride`-th task boundary during the
@@ -293,8 +300,6 @@ impl Default for KillGridOptions {
         Self {
             stride: 1,
             max_points: None,
-            epsilon: SimDuration::from_millis(1),
-            zeno_boot_limit: 64,
             workers: available_workers(),
             snapshot_stride: 1,
         }
@@ -453,7 +458,8 @@ impl KillReport {
 }
 
 /// Runs the record pass: steps `sim` to `horizon` collecting every task
-/// boundary plus every finite switch-latch decay deadline ±`epsilon`,
+/// boundary plus every finite switch-latch decay deadline
+/// ±[`KILL_EPSILON`],
 /// clamped to `(0, horizon)`. Returns the sorted, deduplicated grid
 /// plus a [`SimSnapshot`] at t = 0 and after every
 /// [`KillGridOptions::snapshot_stride`]-th task boundary, in time
@@ -467,7 +473,6 @@ where
     H: Harvester + Clone,
     C: SimContext + Clone,
 {
-    let epsilon = options.epsilon;
     let stride = options.snapshot_stride.max(1);
     let mut snapshots = vec![sim.snapshot()];
     let mut grid = Vec::new();
@@ -491,8 +496,8 @@ where
             if deadline == SimTime::MAX {
                 continue;
             }
-            push(deadline.saturating_sub(epsilon));
-            push(deadline.saturating_add(epsilon));
+            push(deadline.saturating_sub(KILL_EPSILON));
+            push(deadline.saturating_add(KILL_EPSILON));
         }
         boundaries += 1;
         if boundaries.is_multiple_of(stride) {
@@ -536,7 +541,7 @@ fn subsample(grid: &[SimTime], options: &KillGridOptions) -> Vec<SimTime> {
 /// 3. checks every resumed run: no stall, ordered and consistent event
 ///    log, `attempts == completions + failures` conservation, the
 ///    caller's invariant, and no Zeno livelock (≥
-///    [`KillGridOptions::zeno_boot_limit`] post-kill reboots with zero
+///    [`ZENO_BOOT_LIMIT`] post-kill reboots with zero
 ///    post-kill completions).
 ///
 /// Work is sharded across `options.workers` threads; the report is
@@ -564,7 +569,7 @@ where
     let mut recorder = build();
     let (grid, snapshots) = record_timeline(&mut recorder, horizon, options);
     let record_sim = recorder.now().saturating_since(SimTime::ZERO);
-    let baseline = RunSummary::from_sim(&recorder, std::time::Duration::ZERO);
+    let baseline = RunSummary::from_sim(&recorder);
     let baseline_violation = validate_event_log(recorder.events())
         .or_else(|| invariant(&recorder).err())
         .or_else(|| conservation_violation(&baseline));
@@ -588,8 +593,23 @@ where
         // `run_until` stops at its first check with now >= kill_at, and
         // resuming *at* the kill would skip that check's side ordering.
         let idx = snapshots.partition_point(|s| s.now() < kill_at);
-        let resume = &snapshots[idx - 1]; // idx >= 1: the t=0 snapshot precedes every grid point
-        run_one_kill(&build, &invariant, kill_at, horizon, options, resume)
+        let mut sim = build();
+        sim.restore(&snapshots[idx - 1]); // idx >= 1: the t=0 snapshot precedes every grid point
+        let start = sim.now();
+        let (summary, violation, landed) =
+            run_kill_schedule(&mut sim, &[kill_at], horizon, &invariant);
+        let outcome = KillOutcome {
+            kill_at,
+            summary,
+            violation,
+        };
+        // The simulated prefix (resume → kill) and recovery suffix
+        // (kill → end) this experiment stepped.
+        (
+            outcome,
+            landed.saturating_since(start),
+            sim.now().saturating_since(landed),
+        )
     });
     let mut stats = ExplorationStats {
         record_sim,
@@ -612,67 +632,73 @@ where
     }
 }
 
-/// One kill experiment: restore `resume`, step to the kill point, cut
-/// power, resume to the horizon, check everything. Also returns the simulated prefix (start → kill) and
-/// suffix (kill → end) spans this experiment stepped.
-fn run_one_kill<H, C, B, V>(
-    build: &B,
-    invariant: &V,
-    kill_at: SimTime,
+/// Runs `sim` through `kills` in order — stepping to each instant and
+/// cutting power there — recovers to `horizon`, then runs the full
+/// check chain both explorers share: no stall, ordered and consistent
+/// event log, execution-statistics conservation, the caller's
+/// invariant, and no Zeno livelock after the last kill. Returns the
+/// run's summary, its first violation, and where the last kill landed
+/// (the first task boundary at or after its instant).
+///
+/// A run that stops before a kill is not killed again and steps no
+/// further, so a stall after the schedule always follows a landed kill.
+fn run_kill_schedule<H, C, V>(
+    sim: &mut Simulator<H, C>,
+    kills: &[SimTime],
     horizon: SimTime,
-    options: &KillGridOptions,
-    resume: &SimSnapshot<H, C>,
-) -> (KillOutcome, SimDuration, SimDuration)
+    invariant: &V,
+) -> (RunSummary, Option<String>, SimTime)
 where
-    H: Harvester + Clone,
-    C: SimContext + Clone,
-    B: Fn() -> Simulator<H, C>,
+    H: Harvester,
+    C: SimContext,
     V: Fn(&Simulator<H, C>) -> Result<(), String>,
 {
-    let mut sim = build();
-    sim.restore(resume);
-    let start = sim.now();
-    let pre = sim.run_until(kill_at);
-    let landed = sim.now();
-    let mut violation = match pre {
-        StepResult::Stalled { steps } => Some(format!(
-            "stalled before the kill at {kill_at} ({steps} stuck steps)"
-        )),
-        StepResult::Progress | StepResult::Stopped => None,
-    };
-    let stats_at_kill = sim.exec_stats();
-    if violation.is_none() && pre == StepResult::Progress {
-        sim.inject_power_failure();
-        let resumed = sim.run_until(horizon);
-        if let StepResult::Stalled { steps } = resumed {
+    let mut violation = None;
+    let mut landed = sim.now();
+    let mut last_kill = None;
+    for &kill_at in kills {
+        let pre = sim.run_until(kill_at);
+        landed = sim.now();
+        match pre {
+            StepResult::Progress => {
+                last_kill = Some((kill_at, sim.exec_stats()));
+                sim.inject_power_failure();
+            }
+            StepResult::Stopped => break,
+            StepResult::Stalled { steps } => {
+                violation = Some(format!(
+                    "stalled before the kill at {kill_at} ({steps} stuck steps)"
+                ));
+                break;
+            }
+        }
+    }
+    if violation.is_none() {
+        if let (StepResult::Stalled { steps }, Some((kill_at, _))) =
+            (sim.run_until(horizon), last_kill)
+        {
             violation = Some(format!(
                 "stalled after the kill at {kill_at} ({steps} stuck steps)"
             ));
         }
     }
-    let summary = RunSummary::from_sim(&sim, std::time::Duration::ZERO);
+    let summary = RunSummary::from_sim(sim);
     let violation = violation
         .or_else(|| validate_event_log(sim.events()))
         .or_else(|| conservation_violation(&summary))
-        .or_else(|| invariant(&sim).err())
+        .or_else(|| invariant(sim).err())
         .or_else(|| {
-            let reboots = summary.reboots - stats_at_kill.reboots;
-            let completions = summary.completions - stats_at_kill.completions;
-            (reboots >= options.zeno_boot_limit && completions == 0).then(|| {
+            let (kill_at, at_kill) = last_kill?;
+            let reboots = summary.reboots - at_kill.reboots;
+            let completions = summary.completions - at_kill.completions;
+            (reboots >= ZENO_BOOT_LIMIT && completions == 0).then(|| {
                 format!(
                     "Zeno livelock after the kill at {kill_at}: \
                      {reboots} reboots with zero completions"
                 )
             })
         });
-    let outcome = KillOutcome {
-        kill_at,
-        summary,
-        violation,
-    };
-    let prefix = landed.saturating_since(start);
-    let resumed_sim = sim.now().saturating_since(landed);
-    (outcome, prefix, resumed_sim)
+    (summary, violation, landed)
 }
 
 /// The execution machine's conservation law, checked from a summary.
@@ -690,6 +716,7 @@ mod tests {
     use super::*;
     use crate::annotation::TaskEnergy;
     use crate::mode::EnergyMode;
+    use crate::policy::ReconfigPolicy;
     use crate::sim::SimEvent;
     use crate::variant::Variant;
     use capy_device::load::TaskLoad;
@@ -699,11 +726,14 @@ mod tests {
     use capy_power::bank::Bank;
     use capy_power::harvester::{ConstantHarvester, TraceHarvester};
     use capy_power::switch::SwitchKind;
+    use capy_power::system::PowerSystem;
     use capy_power::technology::parts;
     use capy_units::Watts;
 
+    /// The shared test context of both explorers' tests: one committed
+    /// counter.
     #[derive(Clone)]
-    struct Ctx {
+    pub(super) struct Ctx {
         n: NvVar<u64>,
     }
 
@@ -720,8 +750,14 @@ mod tests {
         fn set_now(&mut self, _now: SimTime) {}
     }
 
-    fn two_bank_power<H: Harvester>(harvester: H) -> PowerSystem<H> {
-        PowerSystem::builder()
+    /// A two-bank (400 µF NC `small`, 7.5 mF NO `big`) sampler whose one
+    /// task computes for `task` on the small bank and bumps the counter.
+    pub(super) fn sampler<H: Harvester>(
+        harvester: H,
+        task: SimDuration,
+        policy: Option<Box<dyn ReconfigPolicy>>,
+    ) -> Simulator<H, Ctx> {
+        let power = PowerSystem::builder()
             .harvester(harvester)
             .bank(
                 Bank::builder("small")
@@ -733,35 +769,55 @@ mod tests {
                 Bank::builder("big").with(parts::edlc_7_5mf()).build(),
                 SwitchKind::NormallyOpen,
             )
-            .build()
-    }
-
-    fn sampler<H: Harvester>(power: PowerSystem<H>) -> Simulator<H, Ctx> {
-        Simulator::builder(Variant::CapyR, power, Mcu::msp430fr5969())
+            .build();
+        let mut b = Simulator::builder(Variant::CapyR, power, Mcu::msp430fr5969())
             .mode("small", &[BankId(0)])
             .mode("big", &[BankId(1)])
             .task(
                 "sample",
                 TaskEnergy::Config(EnergyMode(0)),
-                |_, mcu| TaskLoad::new().then(mcu.compute_for(SimDuration::from_millis(10))),
+                move |_, mcu| TaskLoad::new().then(mcu.compute_for(task)),
                 |c: &mut Ctx| {
                     c.n.update(|x| x + 1);
                     Transition::Stay
                 },
-            )
-            .build(Ctx { n: NvVar::new(0) })
+            );
+        if let Some(p) = policy {
+            b = b.policy(p);
+        }
+        b.build(Ctx { n: NvVar::new(0) })
     }
 
-    fn steady() -> Simulator<ConstantHarvester, Ctx> {
-        sampler(two_bank_power(ConstantHarvester::new(
-            Watts::from_milli(2.0),
-            Volts::new(3.0),
-        )))
+    pub(super) fn steady_harvest() -> ConstantHarvester {
+        ConstantHarvester::new(Watts::from_milli(2.0), Volts::new(3.0))
+    }
+
+    /// 10 ms samples on a steady 2 mW harvest: recovers from anything.
+    pub(super) fn steady() -> Simulator<ConstantHarvester, Ctx> {
+        sampler(steady_harvest(), SimDuration::from_millis(10), None)
+    }
+
+    /// The steady sampler whose harvest dies at t = 2 s: a run that must
+    /// recharge after that stalls.
+    pub(super) fn dying() -> Simulator<TraceHarvester, Ctx> {
+        let harvest = TraceHarvester::new(vec![
+            (SimTime::ZERO, Watts::from_milli(2.0), Volts::new(3.0)),
+            (SimTime::from_secs(2), Watts::ZERO, Volts::ZERO),
+        ]);
+        sampler(harvest, SimDuration::from_millis(10), None)
+    }
+
+    /// The steady sampler with a 10 s task the small bank cannot power
+    /// through: every attempt dies mid-task, so the device reboots
+    /// forever without completing — a Zeno livelock.
+    fn starved() -> Simulator<ConstantHarvester, Ctx> {
+        sampler(steady_harvest(), SimDuration::from_secs(10), None)
     }
 
     const HORIZON: SimTime = SimTime::from_secs(5);
 
-    fn counter_invariant(sim: &Simulator<impl Harvester, Ctx>) -> Result<(), String> {
+    /// The committed counter matches the completed-task count.
+    pub(super) fn counter_invariant(sim: &Simulator<impl Harvester, Ctx>) -> Result<(), String> {
         let committed = sim.ctx().n.get();
         let completed = sim.exec_stats().completions;
         if committed == completed {
@@ -827,19 +883,13 @@ mod tests {
         // Harvest dies at t=2s: any kill after that leaves the scenario
         // unable to recharge, so the resumed run stalls — which the
         // explorer must report as a violation, not hide.
-        let build = || {
-            sampler(two_bank_power(TraceHarvester::new(vec![
-                (SimTime::ZERO, Watts::from_milli(2.0), Volts::new(3.0)),
-                (SimTime::from_secs(2), Watts::ZERO, Volts::ZERO),
-            ])))
-        };
         let report = explore_kill_grid(
             HORIZON,
             &KillGridOptions {
                 workers: 2,
                 ..KillGridOptions::default()
             },
-            build,
+            dying,
             counter_invariant,
         );
         assert!(!report.is_clean());
@@ -849,6 +899,52 @@ mod tests {
             .iter()
             .all(|o| o.violation.as_deref().unwrap().contains("stalled")));
         assert!(report.digest().contains("violations"));
+    }
+
+    #[test]
+    fn zeno_livelock_is_flagged_by_both_explorers() {
+        let horizon = SimTime::from_secs(200);
+        let report = explore_kill_grid(
+            horizon,
+            &KillGridOptions {
+                workers: 2,
+                ..KillGridOptions::smoke(1, 8)
+            },
+            starved,
+            counter_invariant,
+        );
+        // The baseline livelocks too, but only a post-kill run is held
+        // to the Zeno check; early kills leave enough reboots before the
+        // horizon to trip it.
+        assert_eq!(report.baseline.completions, 0);
+        assert_eq!(report.baseline_violation, None);
+        let violations = report.violations();
+        assert!(!violations.is_empty(), "{}", report.digest());
+        for o in violations {
+            let expected = format!("Zeno livelock after the kill at {}: ", o.kill_at);
+            assert!(o.violation.as_deref().unwrap().starts_with(&expected));
+        }
+
+        // The fuzzer runs the same check chain after each case's last
+        // kill; 24 cases under this seed include schedules whose last
+        // kill lands early enough.
+        let fuzz = fuzz::fuzz_faults(
+            0xFA57,
+            &fuzz::FuzzOptions {
+                cases: 24,
+                horizon,
+                workers: 2,
+            },
+            starved,
+            counter_invariant,
+        );
+        let violations = fuzz.violations();
+        assert!(!violations.is_empty(), "{}", fuzz.digest());
+        for o in violations {
+            let last = o.case.kills.last().expect("every case kills");
+            let expected = format!("Zeno livelock after the kill at {last}: ");
+            assert!(o.violation.as_deref().unwrap().starts_with(&expected));
+        }
     }
 
     #[test]

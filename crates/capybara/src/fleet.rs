@@ -820,7 +820,7 @@ impl DeviceOutcome {
     /// bank-failure/stall instant as the death time.
     #[must_use]
     pub fn from_sim<H: Harvester, C: SimContext>(sim: &Simulator<H, C>) -> Self {
-        let summary = RunSummary::from_sim(sim, Duration::ZERO);
+        let summary = RunSummary::from_sim(sim);
         let mut latencies = Vec::new();
         let mut death = None;
         for e in sim.events() {
@@ -857,8 +857,9 @@ impl DeviceOutcome {
 /// The all-integer wear one device carries between mission legs: its
 /// per-bank deep-discharge cycle counts, in [`BankId`] order. Integer
 /// counts (not float deratings) are the carried state so the round trip
-/// is exact: leg 2 seeds the counts and re-derives the electrical
-/// derating from the installed wear model.
+/// is exact: leg 2 seeds the counts into a fresh simulator with
+/// [`seed_wear`](capy_power::system::PowerSystem::seed_wear), which
+/// re-derives the electrical derating from the installed wear model.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceWear {
     /// Deep-discharge cycles per bank, `BankId` order.
@@ -886,13 +887,6 @@ impl DeviceWear {
             .map(|i| power.bank(BankId(i)).map_or(0, Bank::cycles))
             .collect();
         Self { bank_cycles }
-    }
-
-    /// Seeds a freshly-built simulator's banks with this wear before
-    /// the leg starts (see
-    /// [`seed_wear`](capy_power::system::PowerSystem::seed_wear)).
-    pub fn apply<H: Harvester, C: SimContext>(&self, sim: &mut Simulator<H, C>) {
-        sim.power_mut().seed_wear(&self.bank_cycles);
     }
 }
 

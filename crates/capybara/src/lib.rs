@@ -123,7 +123,7 @@ pub mod prelude {
         SimulatorBuilder, StepResult,
     };
     pub use crate::sweep::{
-        available_workers, run_sweep_on, run_sweep_tally_on, run_sweep_with_on, AxisError,
+        available_workers, run_sweep_extract_on, run_sweep_on, run_sweep_tally_on, AxisError,
         AxisTable, AxisValue, RunSummary, SweepPoint, SweepReport, SweepRun, SweepSpec,
         WorkerStats,
     };

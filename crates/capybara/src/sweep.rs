@@ -761,10 +761,10 @@ impl RunSummary {
         s
     }
 
-    /// The full record for a finished simulator, with `wall` as measured
-    /// by the caller.
+    /// The full record for a finished simulator. `wall` stays zero:
+    /// [`run_sweep_tally_on`] stamps it around each point's run.
     #[must_use]
-    pub fn from_sim<H: Harvester, C: SimContext>(sim: &Simulator<H, C>, wall: Duration) -> Self {
+    pub fn from_sim<H: Harvester, C: SimContext>(sim: &Simulator<H, C>) -> Self {
         let mut s = Self::from_events(sim.events());
         let stats = sim.exec_stats();
         s.attempts = stats.attempts;
@@ -773,7 +773,6 @@ impl RunSummary {
         s.reboots = stats.reboots;
         s.delivered_energy = sim.power().energy_delivered();
         s.end = sim.now();
-        s.wall = wall;
         s
     }
 
@@ -1014,39 +1013,14 @@ where
     (results, stats)
 }
 
-/// Runs one simulator per point in parallel, each to the point's horizon
-/// (the spec's unless overridden via [`SweepPoint::horizon`]), and also
-/// returns the caller's per-point extract (trace excerpts, application
-/// metrics, …) alongside the standard summaries.
-///
-/// `run` receives the point and returns the simulator plus its extract;
-/// the engine measures wall time around the whole closure and then tops
-/// the simulator up to the point's horizon. `run_until` is monotone, so
-/// a closure that already advanced the simulator past the horizon leaves
-/// the run untouched. When the extract must observe the *finished*
-/// simulator, use [`run_sweep_extract_on`] instead.
-pub fn run_sweep_with_on<H, C, R, F>(
-    spec: &SweepSpec,
-    workers: usize,
-    run: F,
-) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    F: Fn(&SweepPoint) -> (Simulator<H, C>, R) + Sync,
-{
-    run_sweep_inner(spec, workers, |point| {
-        let (mut sim, extract) = run(point);
-        sim.run_until(point.horizon_or(spec.horizon()));
-        (sim, extract)
-    })
-}
-
 /// Builds one simulator per point with `build`, runs each to its
-/// horizon, then applies `extract` to the **finished** simulator —
-/// the right shape for figure benches that read end-of-run state
-/// (application context, trace tails, power telemetry).
+/// horizon (the spec's unless overridden via [`SweepPoint::horizon`]),
+/// then applies `extract` to the **finished** simulator — the right
+/// shape for figure benches that read end-of-run state (application
+/// context, trace tails, power telemetry). `run_until` is monotone, so
+/// a `build` that already advanced its simulator past the horizon
+/// leaves the run untouched; the measured wall time spans build, run
+/// and extract.
 pub fn run_sweep_extract_on<H, C, R, B, X>(
     spec: &SweepSpec,
     workers: usize,
@@ -1060,28 +1034,10 @@ where
     B: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
     X: Fn(&Simulator<H, C>, &SweepPoint) -> R + Sync,
 {
-    run_sweep_inner(spec, workers, |point| {
+    run_sweep_tally_on(spec, workers, |point| {
         let mut sim = build(point);
         sim.run_until(point.horizon_or(spec.horizon()));
-        let r = extract(&sim, point);
-        (sim, r)
-    })
-}
-
-/// Shared engine: `run` fully executes one point (build + advance) and
-/// returns the finished simulator plus the caller's extract.
-fn run_sweep_inner<H, C, R, F>(spec: &SweepSpec, workers: usize, run: F) -> (SweepReport, Vec<R>)
-where
-    H: Harvester,
-    C: SimContext,
-    R: Send,
-    F: Fn(&SweepPoint) -> (Simulator<H, C>, R) + Sync,
-{
-    // The tally engine stamps each summary's wall time around the whole
-    // closure, so the placeholder Duration here is never observed.
-    run_sweep_tally_on(spec, workers, |point| {
-        let (sim, extract) = run(point);
-        (RunSummary::from_sim(&sim, Duration::ZERO), extract)
+        (RunSummary::from_sim(&sim), extract(&sim, point))
     })
 }
 
@@ -1135,7 +1091,7 @@ where
     C: SimContext,
     F: Fn(&SweepPoint) -> Simulator<H, C> + Sync,
 {
-    run_sweep_with_on(spec, workers, |point| (build(point), ())).0
+    run_sweep_extract_on(spec, workers, build, |_, _| ()).0
 }
 
 #[cfg(test)]

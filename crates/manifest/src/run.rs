@@ -182,7 +182,7 @@ pub fn run_manifest_on(
 
     // Wall time is deliberately zeroed: the artifact must be
     // bit-identical across reruns and hosts.
-    let summary = RunSummary::from_sim(&sim, Duration::ZERO);
+    let summary = RunSummary::from_sim(&sim);
     let availability = 1.0 - summary.charge_fraction();
     let ctx = sim.ctx();
 

@@ -46,7 +46,7 @@ fn main() {
     );
     println!("fault fuzz over a 10-minute CB-R TempAlarm mission:");
     println!("  {}", report.digest());
-    let max_kills = report
+    let most_kills = report
         .outcomes
         .iter()
         .map(|o| o.case.kills.len())
@@ -58,7 +58,7 @@ fn main() {
         .filter(|o| !o.case.plan.is_empty())
         .count();
     println!(
-        "  schedules: up to {max_kills} kills per case, {} of {} cases with hardware faults",
+        "  schedules: up to {most_kills} kills per case, {} of {} cases with hardware faults",
         with_faults,
         report.outcomes.len()
     );

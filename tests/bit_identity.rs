@@ -9,8 +9,6 @@
 //! fails here and must either be made exact or moved to the unconditional
 //! (tuning-independent) part of the kernel.
 
-use std::time::Duration;
-
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
 use capybara_suite::apps::events::{fit_span, poisson_events};
@@ -41,8 +39,8 @@ where
 
     assert_eq!(opt.events(), base.events(), "{label}: event logs diverge");
     assert_eq!(
-        RunSummary::from_sim(&opt, Duration::ZERO),
-        RunSummary::from_sim(&base, Duration::ZERO),
+        RunSummary::from_sim(&opt),
+        RunSummary::from_sim(&base),
         "{label}: run summaries diverge"
     );
     assert_eq!(opt.now(), base.now(), "{label}: simulated clocks diverge");
@@ -119,7 +117,7 @@ fn variant_sweep_reports_bit_identical_across_tunings() {
                 sim.power_mut().set_tuning(tuning);
                 sim
             },
-            |sim, _| RunSummary::from_sim(sim, Duration::ZERO),
+            |sim, _| RunSummary::from_sim(sim),
         )
     };
     let (report_opt, summaries_opt) = run(KernelTuning::optimized());

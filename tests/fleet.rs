@@ -510,7 +510,7 @@ fn wear_carries_across_real_mission_legs() {
             )
             .build(());
         sim.power_mut().set_wear_model(Some(WearModel::prototype()));
-        carry.apply(&mut sim);
+        sim.power_mut().seed_wear(&carry.bank_cycles);
         sim.run_until(spec.horizon());
         DeviceOutcome::from_sim(&sim)
     };

@@ -11,6 +11,7 @@ use capybara_suite::apps::{csr, ta};
 use capybara_suite::core::sim::validate_event_log;
 use capybara_suite::faults::{
     explore_kill_grid, ExplorationStats, FaultPlan, KillGridOptions, KillOutcome, KillReport,
+    ZENO_BOOT_LIMIT,
 };
 use capybara_suite::prelude::*;
 
@@ -94,7 +95,7 @@ fn ta_kill_grid_is_clean_and_worker_count_invariant() {
 fn replay_from_zero<H: Harvester, C: SimContext>(
     snap: &KillReport,
     horizon: SimTime,
-    zeno_boot_limit: u64,
+    zeno_limit: u64,
     build: impl Fn() -> Simulator<H, C>,
     invariant: impl Fn(&Simulator<H, C>) -> Result<(), String>,
 ) -> KillReport {
@@ -108,7 +109,7 @@ fn replay_from_zero<H: Harvester, C: SimContext>(
     };
     let mut recorder = build();
     recorder.run_until(horizon);
-    let baseline = RunSummary::from_sim(&recorder, std::time::Duration::ZERO);
+    let baseline = RunSummary::from_sim(&recorder);
     let mut stats = ExplorationStats {
         record_sim: recorder.now().saturating_since(SimTime::ZERO),
         ..ExplorationStats::default()
@@ -135,11 +136,11 @@ fn replay_from_zero<H: Harvester, C: SimContext>(
             stats.resumed_sim = stats
                 .resumed_sim
                 .saturating_add(sim.now().saturating_since(landed));
-            let summary = RunSummary::from_sim(&sim, std::time::Duration::ZERO);
+            let summary = RunSummary::from_sim(&sim);
             let violation = violation.or_else(|| checks(&sim, &summary)).or_else(|| {
                 let reboots = summary.reboots - at_kill.reboots;
                 let completions = summary.completions - at_kill.completions;
-                (reboots >= zeno_boot_limit && completions == 0)
+                (reboots >= zeno_limit && completions == 0)
                     .then(|| format!("Zeno livelock after the kill at {}", o.kill_at))
             });
             KillOutcome {
@@ -256,13 +257,7 @@ fn snapshot_explorer_matches_replay_and_steps_far_less() {
         "violations: {:?}",
         snap.violations()
     );
-    let replay = replay_from_zero(
-        &snap,
-        horizon,
-        options.zeno_boot_limit,
-        steady,
-        counter_invariant,
-    );
+    let replay = replay_from_zero(&snap, horizon, ZENO_BOOT_LIMIT, steady, counter_invariant);
     assert_matches_replay(&snap, &replay);
 }
 
@@ -280,7 +275,7 @@ fn ta_snapshot_explorer_matches_replay_at_any_stride() {
         let snap = explore_kill_grid(HORIZON, &options, build, |_| Ok(()));
         assert_eq!(snap.outcomes.len(), 16);
         let replay = replay.get_or_insert_with(|| {
-            replay_from_zero(&snap, HORIZON, options.zeno_boot_limit, build, |_| Ok(()))
+            replay_from_zero(&snap, HORIZON, ZENO_BOOT_LIMIT, build, |_| Ok(()))
         });
         assert_matches_replay(&snap, replay);
     }

@@ -9,8 +9,6 @@
 //! memoization that reconverges bitwise), after `inject_power_failure`,
 //! and with an armed `FaultPlan` whose faults strike after the snapshot.
 
-use std::time::Duration;
-
 use capy_units::rng::DetRng;
 use capy_units::{SimDuration, SimTime};
 use capybara_suite::apps::events::{fit_span, poisson_events};
@@ -61,8 +59,8 @@ fn assert_sims_identical<H: Harvester, C: SimContext>(
 ) {
     assert_eq!(a.events(), b.events(), "{label}: event logs diverge");
     assert_eq!(
-        RunSummary::from_sim(a, Duration::ZERO),
-        RunSummary::from_sim(b, Duration::ZERO),
+        RunSummary::from_sim(a),
+        RunSummary::from_sim(b),
         "{label}: run summaries diverge"
     );
     assert_eq!(a.now(), b.now(), "{label}: simulated clocks diverge");
